@@ -149,7 +149,7 @@ let solve_body ?pool ?(ckpt = Resil.Ctl.none) g ~k ~ell ~q lam st =
   let pool = match pool with Some p -> p | None -> Par.default () in
   let total = Graph.Tuple.count ~n ~k:ell in
   match total with
-  | Some total when Par.Pool.size pool > 1 && total > 1 ->
+  | Some total when Par.Pool.parallel pool && total > 1 ->
       Par.map_reduce_chunks pool ~n:total
         ~map:(fun lo hi ->
           let ctx = Types.make_ctx g in

@@ -128,7 +128,7 @@ let solve_body ?pool:ppool ?(ckpt = Resil.Ctl.none) g ~k ~ell ~q ~r lam st =
   if Obs.Sink.enabled () then
     Obs.Metric.observe pool_size_h (float_of_int st.pool_size);
   st.vertices_touched <- List.length balls.(1);
-  if Par.Pool.size ppool <= 1 then begin
+  if not (Par.Pool.parallel ppool) then begin
     let ctx = Types.make_ctx g in
     let idx = ref 0 in
     for j = 0 to ell do

@@ -111,7 +111,7 @@ let solve ?pool g ~ell ~catalogue lam =
   @@ fun () ->
   Atomic.set mc_calls_counter 0;
   let pool = match pool with Some p -> p | None -> Par.default () in
-  if Par.Pool.size pool <= 1 then begin
+  if not (Par.Pool.parallel pool) then begin
     let total = List.length catalogue in
     let rec go tried = function
       | [] -> None

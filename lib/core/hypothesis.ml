@@ -15,15 +15,6 @@ type t = {
 let xvars k = List.init k (fun i -> Printf.sprintf "x%d" (i + 1))
 let yvars l = List.init l (fun i -> Printf.sprintf "y%d" (i + 1))
 
-(* Rename the Hintikka variables x_{k+1}..x_{k+l} to y_1..y_l so the
-   formula exposes the (x̄; ȳ) split of the paper. *)
-let to_xy ~k ~ell f =
-  let assoc =
-    List.init ell (fun i ->
-        (Printf.sprintf "x%d" (k + i + 1), Printf.sprintf "y%d" (i + 1)))
-  in
-  Fo.Formula.substitute assoc f
-
 let check_tuple g v =
   Array.iter
     (fun x -> if x < 0 || x >= Graph.order g then raise (Graph.Invalid_vertex x))
@@ -82,8 +73,8 @@ let of_types g ~k ~q ~types ~params =
           members);
     formula =
       lazy
-        (to_xy ~k ~ell
-           (Modelcheck.Hintikka.of_types ~colors:(Graph.color_names g) types));
+        (Modelcheck.Hintikka.of_types ~vars:(xvars k @ yvars ell)
+           ~colors:(Graph.color_names g) types);
     signature = lazy (type_signature "T" ~q types params);
   }
 
@@ -106,14 +97,12 @@ let of_local_types g ~k ~q ~r ~types ~params =
           members);
     formula =
       lazy
-        (let colors = Graph.color_names g in
+        (let colors = Graph.color_names g and vars = xvars k @ yvars ell in
          Fo.Formula.or_
            (List.map
               (fun ty ->
-                to_xy ~k ~ell
-                  (Fo.Localize.relativize ~r
-                     ~around:(Modelcheck.Hintikka.variables (k + ell))
-                     (Modelcheck.Hintikka.of_type ~colors ty)))
+                Fo.Localize.relativize ~r ~around:vars
+                  (Modelcheck.Hintikka.of_type ~vars ~colors ty))
               types));
     signature = lazy (type_signature (Printf.sprintf "L%d" r) ~q types params);
   }
@@ -140,12 +129,11 @@ let of_counting_types g ~k ~q ~tmax ~types ~params =
           members);
     formula =
       lazy
-        (to_xy ~k ~ell
-           (Fo.Formula.or_
-              (List.map
-                 (Modelcheck.Ctypes.hintikka ~colors:(Graph.color_names g)
-                    ~tmax)
-                 types)));
+        (Fo.Formula.or_
+           (List.map
+              (Modelcheck.Ctypes.hintikka ~vars:(xvars k @ yvars ell)
+                 ~colors:(Graph.color_names g) ~tmax)
+              types));
     signature =
       lazy
         (Printf.sprintf "C%d|q=%d|t=%s|w=%s" tmax q
@@ -178,14 +166,12 @@ let of_counting_local_types g ~k ~q ~tmax ~r ~types ~params =
           members);
     formula =
       lazy
-        (let colors = Graph.color_names g in
+        (let colors = Graph.color_names g and vars = xvars k @ yvars ell in
          Fo.Formula.or_
            (List.map
               (fun ty ->
-                to_xy ~k ~ell
-                  (Fo.Localize.relativize ~r
-                     ~around:(Modelcheck.Hintikka.variables (k + ell))
-                     (Modelcheck.Ctypes.hintikka ~colors ~tmax ty)))
+                Fo.Localize.relativize ~r ~around:vars
+                  (Modelcheck.Ctypes.hintikka ~vars ~colors ~tmax ty))
               types));
     signature =
       lazy

@@ -30,7 +30,7 @@ let build ?pool ?(ckpt = Resil.Ctl.none) g ~q ~r =
      depend on shared memo state, so a resumed build recomputes them
      from scratch rather than replay-skipping. *)
   let vertex_ty =
-    if Par.Pool.size pool <= 1 || n <= 1 then begin
+    if (not (Par.Pool.parallel pool)) || n <= 1 then begin
       let ctx = Types.make_ctx g in
       Array.init n (fun v ->
           let ty = Types.ltp ctx ~q ~r [| v |] in

@@ -12,14 +12,20 @@ let pp ppf (a : ty) = Format.fprintf ppf "c#%d" a
 (* Intern)                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let dummy_sig : Types.atomsig =
-  { Types.sig_arity = 0; eqs = []; edgs = []; cols = [||] }
-
 module Reg = Intern.Make (struct
   type key = Types.atomsig * (ty * int) list option
 
-  let dummy = (dummy_sig, None)
+  let dummy =
+    ({ Types.sig_arity = 0; eqs = []; edgs = []; cols = [||] }, None)
   let prefix = "modelcheck.ctypes"
+
+  let hash (sg, kids) =
+    let h = Hashtbl.hash sg in
+    match kids with
+    | None -> h
+    | Some ts ->
+        List.fold_left (fun h (t, c) -> (((h * 31) + t) * 31) + c) h ts
+        land max_int
 end)
 
 let intern = Reg.intern
@@ -42,36 +48,58 @@ let reset_tables = Reg.reset
 
 type ctx = {
   g : Graph.t;
+  coder : Types.Coder.t Lazy.t;
   memo : (int * int * Graph.Tuple.t, ty) Hashtbl.t;
   lmemo : (int * int * int * Graph.Tuple.t, ty) Hashtbl.t;
 }
 
-let make_ctx g = { g; memo = Hashtbl.create 256; lmemo = Hashtbl.create 256 }
+let make_ctx g =
+  {
+    g;
+    coder = lazy (Types.Coder.make g);
+    memo = Hashtbl.create 256;
+    lmemo = Hashtbl.create 256;
+  }
 
-let rec ctp ctx ~q ~tmax u =
+let intern_leaf sg = intern (sg, None) 0
+let by_type (a, ca) (b, cb) =
+  match Int.compare a b with 0 -> Int.compare ca cb | c -> c
+
+let rec compute ctx c ~q ~tmax u p =
+  if q = 0 then Types.Coder.leaf c ~intern:intern_leaf p
+  else if q = 1 then
+    let kids =
+      Types.Coder.leaves c ~intern:intern_leaf ~cap:tmax ~each:ignore p u
+    in
+    intern (Types.Coder.signature c p, Some (List.sort by_type kids)) 1
+  else begin
+    let n = Graph.order ctx.g in
+    let ids = Array.make n 0 in
+    Types.Coder.extend c p u ids;
+    let counts : (ty, int) Hashtbl.t = Hashtbl.create 16 in
+    for w = 0 to n - 1 do
+      let child =
+        compute ctx c ~q:(q - 1) ~tmax (Graph.Tuple.append u [| w |]) ids.(w)
+      in
+      let m = Option.value (Hashtbl.find_opt counts child) ~default:0 in
+      Hashtbl.replace counts child (min tmax (m + 1))
+    done;
+    let children =
+      Hashtbl.fold (fun child m acc -> (child, m) :: acc) counts []
+      |> List.sort by_type
+    in
+    intern (Types.Coder.signature c p, Some children) q
+  end
+
+let ctp ctx ~q ~tmax u =
   if q < 0 then invalid_arg "Ctypes.ctp: negative quantifier rank";
   if tmax < 1 then invalid_arg "Ctypes.ctp: threshold cap must be >= 1";
   match Hashtbl.find_opt ctx.memo (q, tmax, u) with
   | Some t -> t
   | None ->
-      let sg = Types.atomic_signature ctx.g u in
-      let t =
-        if q = 0 then intern (sg, None) 0
-        else begin
-          let counts : (ty, int) Hashtbl.t = Hashtbl.create 16 in
-          for w = 0 to Graph.order ctx.g - 1 do
-            let child = ctp ctx ~q:(q - 1) ~tmax (Graph.Tuple.append u [| w |]) in
-            let c = Option.value (Hashtbl.find_opt counts child) ~default:0 in
-            Hashtbl.replace counts child (min tmax (c + 1))
-          done;
-          let children =
-            Hashtbl.fold (fun child c acc -> (child, c) :: acc) counts []
-            |> List.sort (fun (a, ca) (b, cb) ->
-                   match Int.compare a b with 0 -> Int.compare ca cb | c -> c)
-          in
-          intern (sg, Some children) q
-        end
-      in
+      let c = Lazy.force ctx.coder in
+      Types.Coder.check_arity c (Array.length u + q);
+      let t = compute ctx c ~q ~tmax u (Types.Coder.of_tuple c u) in
       Hashtbl.replace ctx.memo (q, tmax, u) t;
       t
 
@@ -113,62 +141,44 @@ let count_types g ~q ~tmax ~k =
 (* Counting Hintikka formulas                                          *)
 (* ------------------------------------------------------------------ *)
 
-let hintikka ~colors ~tmax theta =
-  let atomic_formula sg vars =
-    (* reuse the plain-type atomic rendering through a throwaway plain
-       intern?  No — rebuild it here from the signature directly. *)
-    let var = Array.of_list vars in
-    let k = sg.Types.sig_arity in
-    let conjuncts = ref [] in
-    let push f = conjuncts := f :: !conjuncts in
-    for i = 0 to k - 1 do
-      for j = i + 1 to k - 1 do
-        let e = Fo.Formula.eq var.(i) var.(j) in
-        push (if List.mem (i, j) sg.Types.eqs then e else Fo.Formula.not_ e);
-        let a = Fo.Formula.edge var.(i) var.(j) in
-        push (if List.mem (i, j) sg.Types.edgs then a else Fo.Formula.not_ a)
-      done
-    done;
-    for i = 0 to k - 1 do
-      let held = sg.Types.cols.(i) in
-      List.iter
-        (fun c ->
-          if not (List.mem c colors) then
-            invalid_arg
-              (Printf.sprintf "Ctypes.hintikka: colour %S not in vocabulary" c))
-        held;
-      List.iter
-        (fun c ->
-          let a = Fo.Formula.color c var.(i) in
-          push (if List.mem c held then a else Fo.Formula.not_ a))
-        colors
-    done;
-    Fo.Formula.and_ (List.rev !conjuncts)
-  in
+(* Each distinct child is built once per call and shared by its
+   lower-bound, upper-bound and exhaustion conjuncts. *)
+let hintikka ?vars ~colors ~tmax theta =
+  let memo = Hashtbl.create 16 in
   let rec go theta vars =
-    let sg, children = node theta in
-    let atomic = atomic_formula sg vars in
-    match children with
-    | None -> atomic
-    | Some kids ->
-        let y = Printf.sprintf "x%d" (List.length vars + 1) in
-        let vars' = vars @ [ y ] in
-        let multiplicities =
-          List.concat_map
-            (fun (kid, c) ->
-              let lower = Fo.Formula.count_ge c y (go kid vars') in
-              if c < tmax then
-                [
-                  lower;
-                  Fo.Formula.not_ (Fo.Formula.count_ge (c + 1) y (go kid vars'));
-                ]
-              else [ lower ])
-            kids
+    match Hashtbl.find_opt memo theta with
+    | Some f -> f
+    | None ->
+        let sg, children = node theta in
+        let atomic = Hintikka.atomic_formula ~colors sg vars in
+        let f =
+          match children with
+          | None -> atomic
+          | Some kids ->
+              let y = Printf.sprintf "x%d" (List.length vars + 1) in
+              let vars' = vars @ [ y ] in
+              let kids = List.map (fun (kid, c) -> (go kid vars', c)) kids in
+              let multiplicities =
+                List.concat_map
+                  (fun (f, c) ->
+                    let lower = Fo.Formula.count_ge c y f in
+                    if c < tmax then
+                      [
+                        lower;
+                        Fo.Formula.not_ (Fo.Formula.count_ge (c + 1) y f);
+                      ]
+                    else [ lower ])
+                  kids
+              in
+              let exhausted =
+                Fo.Formula.forall y (Fo.Formula.or_ (List.map fst kids))
+              in
+              Fo.Formula.and_ ((atomic :: multiplicities) @ [ exhausted ])
         in
-        let exhausted =
-          Fo.Formula.forall y
-            (Fo.Formula.or_ (List.map (fun (kid, _) -> go kid vars') kids))
-        in
-        Fo.Formula.and_ ((atomic :: multiplicities) @ [ exhausted ])
+        Hashtbl.replace memo theta f;
+        f
   in
-  go theta (Hintikka.variables (arity theta))
+  let vars =
+    match vars with Some v -> v | None -> Hintikka.variables (arity theta)
+  in
+  go theta vars

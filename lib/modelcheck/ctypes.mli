@@ -50,11 +50,18 @@ val node : ty -> Types.atomsig * (ty * int) list option
 (** Decompose: atomic signature, and [None] (rank 0) or the sorted list of
     (child counting type, capped multiplicity) pairs. *)
 
-val hintikka : colors:string list -> tmax:int -> ty -> Fo.Formula.t
+val hintikka :
+  ?vars:Fo.Formula.var list ->
+  colors:string list ->
+  tmax:int ->
+  ty ->
+  Fo.Formula.t
 (** The counting Hintikka formula of a type: for every graph [H] over a
     sub-vocabulary of [colors] and tuple [v̄],
     [H |= hintikka θ (v̄)  iff  ctp(H, v̄) = θ].  Uses [atleast]
-    quantifiers; quantifier rank is exactly the rank of the type. *)
+    quantifiers; quantifier rank is exactly the rank of the type.  Free
+    variables as in {!Hintikka.of_type}; each distinct child type is
+    built once and shared. *)
 
 (** {1 Registry lifecycle} *)
 

@@ -23,7 +23,7 @@ let atomic_formula ~colors (sg : Types.atomsig) vars =
       (fun c ->
         if not (List.mem c colors) then
           invalid_arg
-            (Printf.sprintf "Hintikka.of_type: colour %S not in vocabulary" c))
+            (Printf.sprintf "Hintikka: colour %S not in vocabulary" c))
       held;
     List.iter
       (fun c ->
@@ -33,29 +33,51 @@ let atomic_formula ~colors (sg : Types.atomsig) vars =
   done;
   Fo.Formula.and_ (List.rev !conjuncts)
 
-let of_type ~colors theta =
+(* Each distinct type is built once per call and shared wherever it
+   recurs: the unshared tree repeats every child under ∃ and again
+   under ∀.  Fuel stays that of the unshared build — one tick per node
+   of it — because a memo hit, and each parent for its ∀ copies, tick
+   the node count of the subtree they reuse. *)
+let of_type ?vars ~colors theta =
   Obs.Metric.incr formulas_built;
+  let memo = Hashtbl.create 16 in
   let rec go theta vars =
-    Guard.tick Guard.Hintikka_build;
-    let sg, children = Types.node theta in
-    let atomic = atomic_formula ~colors sg vars in
-    match children with
-    | None -> atomic
-    | Some kids ->
-        let y = Printf.sprintf "x%d" (List.length vars + 1) in
-        let vars' = vars @ [ y ] in
-        let realised =
-          List.map (fun kid -> Fo.Formula.exists y (go kid vars')) kids
+    match Hashtbl.find_opt memo theta with
+    | Some ((_, nodes) as built) ->
+        Guard.tick ~cost:nodes Guard.Hintikka_build;
+        built
+    | None ->
+        Guard.tick Guard.Hintikka_build;
+        let sg, children = Types.node theta in
+        let atomic = atomic_formula ~colors sg vars in
+        let built =
+          match children with
+          | None -> (atomic, 1)
+          | Some kids ->
+              let y = Printf.sprintf "x%d" (List.length vars + 1) in
+              let vars' = vars @ [ y ] in
+              let kids = List.map (fun kid -> go kid vars') kids in
+              let realised =
+                List.map (fun (f, _) -> Fo.Formula.exists y f) kids
+              in
+              let again = List.fold_left (fun acc (_, c) -> acc + c) 0 kids in
+              if again > 0 then Guard.tick ~cost:again Guard.Hintikka_build;
+              let exhausted =
+                Fo.Formula.forall y (Fo.Formula.or_ (List.map fst kids))
+              in
+              let f = Fo.Formula.and_ ((atomic :: realised) @ [ exhausted ]) in
+              (f, 1 + (2 * again))
         in
-        let exhausted =
-          Fo.Formula.forall y (Fo.Formula.or_ (List.map (fun kid -> go kid vars') kids))
-        in
-        Fo.Formula.and_ ((atomic :: realised) @ [ exhausted ])
+        Hashtbl.replace memo theta built;
+        built
   in
-  go theta (variables (Types.arity theta))
+  let vars =
+    match vars with Some v -> v | None -> variables (Types.arity theta)
+  in
+  fst (go theta vars)
 
-let of_types ~colors thetas =
-  Fo.Formula.or_ (List.map (of_type ~colors) thetas)
+let of_types ?vars ~colors thetas =
+  Fo.Formula.or_ (List.map (of_type ?vars ~colors) thetas)
 
 let of_tuple ~colors g ~q u =
   of_type ~colors (Types.tp_graph g ~q u)

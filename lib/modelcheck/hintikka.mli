@@ -15,13 +15,31 @@
 val variables : int -> Fo.Formula.var list
 (** [variables k] = the standard variable names [x1; ...; xk]. *)
 
-val of_type : colors:string list -> Types.ty -> Fo.Formula.t
-(** [of_type ~colors θ]: the Hintikka formula of [θ] over the standard
-    variables, relative to the given colour vocabulary (needed to spell
-    out the {e negative} colour facts).
+val atomic_formula :
+  colors:string list -> Types.atomsig -> Fo.Formula.var list -> Fo.Formula.t
+(** [atomic_formula ~colors sg vars]: the conjunction of the equality,
+    edge and colour literals (positive and negative) that the atomic
+    signature [sg] fixes for [vars], over the colour vocabulary
+    [colors].  Shared by the plain and counting Hintikka builders.
+    @raise Invalid_argument if [vars] does not match the arity of [sg]
+    or [sg] mentions a colour outside [colors]. *)
+
+val of_type :
+  ?vars:Fo.Formula.var list -> colors:string list -> Types.ty -> Fo.Formula.t
+(** [of_type ~colors θ]: the Hintikka formula of [θ], relative to the
+    given colour vocabulary (needed to spell out the {e negative} colour
+    facts).  Its free variables are [vars] (default [variables (arity
+    θ)]); the quantified variables are [x{m+1}], [x{m+2}], ... where
+    [m] is the length of [vars].  Each distinct type is built once and
+    shared; the guard fuel spent is that of the unshared tree, one
+    [Hintikka_build] unit per node.
     @raise Invalid_argument if [θ] mentions a colour outside [colors]. *)
 
-val of_types : colors:string list -> Types.ty list -> Fo.Formula.t
+val of_types :
+  ?vars:Fo.Formula.var list ->
+  colors:string list ->
+  Types.ty list ->
+  Fo.Formula.t
 (** Disjunction of Hintikka formulas: the formula defining "my [q]-type is
     one of these". *)
 

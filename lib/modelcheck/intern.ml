@@ -30,16 +30,24 @@ module Make (C : sig
 
   val dummy : key
   val prefix : string
+  val hash : key -> int
 end) =
 struct
   type key = C.key
   type entry = { key : key; entry_rank : int }
 
+  module Tbl = Hashtbl.Make (struct
+    type t = key
+
+    let equal = ( = )
+    let hash = C.hash
+  end)
+
   let shard_merges = Obs.Metric.counter (C.prefix ^ ".shard_merges")
   let table_bytes_g = Obs.Metric.gauge (C.prefix ^ ".table_bytes")
 
   let dummy_entry = { key = C.dummy; entry_rank = -1 }
-  let table : (key, int) Hashtbl.t = Hashtbl.create 4096
+  let table : int Tbl.t = Tbl.create 4096
   let table_mutex = Mutex.create ()
   let entries : entry array Atomic.t = Atomic.make (Array.make 1024 dummy_entry)
   let published = Atomic.make 0
@@ -56,18 +64,18 @@ struct
   type shard = {
     mutable shard_epoch : int;
     mutable watermark : int;
-    tbl : (key, int) Hashtbl.t;
+    tbl : int Tbl.t;
   }
 
   let shard_key =
     Domain.DLS.new_key (fun () ->
-        { shard_epoch = -1; watermark = 0; tbl = Hashtbl.create 1024 })
+        { shard_epoch = -1; watermark = 0; tbl = Tbl.create 1024 })
 
   let my_shard () =
     let s = Domain.DLS.get shard_key in
     let e = Atomic.get epoch in
     if s.shard_epoch <> e then begin
-      Hashtbl.reset s.tbl;
+      Tbl.reset s.tbl;
       s.watermark <- 0;
       s.shard_epoch <- e
     end;
@@ -79,7 +87,7 @@ struct
   let merge s hi =
     let arr = Atomic.get entries in
     for id = s.watermark to hi - 1 do
-      Hashtbl.replace s.tbl arr.(id).key id
+      Tbl.replace s.tbl arr.(id).key id
     done;
     s.watermark <- hi;
     Obs.Metric.incr shard_merges
@@ -87,7 +95,7 @@ struct
   let intern_global s key entry_rank =
     Mutex.lock table_mutex;
     let id =
-      match Hashtbl.find_opt table key with
+      match Tbl.find_opt table key with
       | Some id -> id
       | None ->
           let id = !next_id in
@@ -104,24 +112,24 @@ struct
           arr.(id) <- { key; entry_rank };
           Atomic.set entries arr;
           Atomic.set published (id + 1);
-          Hashtbl.replace table key id;
+          Tbl.replace table key id;
           if Obs.Sink.enabled () then
             Obs.Metric.set table_bytes_g (float_of_int (approx_bytes !next_id));
           id
     in
     Mutex.unlock table_mutex;
-    Hashtbl.replace s.tbl key id;
+    Tbl.replace s.tbl key id;
     id
 
   let intern key entry_rank =
     let s = my_shard () in
-    match Hashtbl.find_opt s.tbl key with
+    match Tbl.find_opt s.tbl key with
     | Some id -> id
     | None ->
         let hi = Atomic.get published in
         if s.watermark < hi then begin
           merge s hi;
-          match Hashtbl.find_opt s.tbl key with
+          match Tbl.find_opt s.tbl key with
           | Some id -> id
           | None -> intern_global s key entry_rank
         end
@@ -146,7 +154,7 @@ struct
 
   let reset () =
     Mutex.lock table_mutex;
-    Hashtbl.reset table;
+    Tbl.reset table;
     next_id := 0;
     Atomic.set entries (Array.make 1024 dummy_entry);
     Atomic.set published 0;

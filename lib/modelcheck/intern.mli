@@ -21,6 +21,12 @@ module Make (C : sig
 
   val prefix : string
   (** Metric name prefix, e.g. ["modelcheck.types.intern"]. *)
+
+  val hash : key -> int
+  (** Hash for both the global table and the shards; keys are compared
+      with [( = )].  It must look at the whole key: keys that share a
+      prefix (one atomic signature, many child sets) must not share a
+      bucket. *)
 end) : sig
   type key = C.key
 

@@ -22,6 +22,7 @@ let slot_counter slot =
 module Pool = struct
   type t = {
     size : int;
+    requested : int;  (* [jobs] as asked for, before the core-count cap *)
     m : Mutex.t;
     have_work : Condition.t;
     work_done : Condition.t;
@@ -38,6 +39,7 @@ module Pool = struct
     let size = max 1 (min jobs (Domain.recommended_domain_count ())) in
     {
       size;
+      requested = max 1 jobs;
       m = Mutex.create ();
       have_work = Condition.create ();
       work_done = Condition.create ();
@@ -51,6 +53,7 @@ module Pool = struct
     }
 
   let size t = t.size
+  let parallel t = t.requested > 1
 
   let rec worker_loop t ~slot last_epoch =
     Mutex.lock t.m;
@@ -196,11 +199,23 @@ let record_retry ~task ~attempt ~slot e =
     "par.retry"
 
 let run (t : Pool.t) ~tasks f =
+  (* the span follows the jobs asked for, not the pool size the host's
+     cores allow, so a run records the same events on every host *)
+  let span body =
+    if Pool.parallel t then
+      Obs.Span.with_ "par.run"
+        ~args:
+          [ ("jobs", string_of_int t.Pool.size);
+            ("tasks", string_of_int tasks) ]
+        body
+    else body ()
+  in
   if tasks > 0 then
     if t.Pool.size <= 1 || tasks = 1 || t.Pool.stopping then
       (* the inline path honours the same fault-isolation contract as
          the pooled one: a retryable exception gets [max_attempts]
          tries before it propagates *)
+      span @@ fun () ->
       for i = 0 to tasks - 1 do
         let rec attempt k =
           try f i
@@ -211,11 +226,7 @@ let run (t : Pool.t) ~tasks f =
         attempt 1
       done
     else
-      Obs.Span.with_ "par.run"
-        ~args:
-          [ ("jobs", string_of_int t.Pool.size);
-            ("tasks", string_of_int tasks) ]
-      @@ fun () ->
+      span @@ fun () ->
       let next = Atomic.make 0 in
       let completed = Atomic.make 0 in
       let failure : (int * exn * Printexc.raw_backtrace) option Atomic.t =

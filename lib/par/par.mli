@@ -34,6 +34,13 @@ module Pool : sig
   val size : t -> int
   (** The parallelism degree (including the caller). *)
 
+  val parallel : t -> bool
+  (** Were more than one job asked for?  The solvers pick their chunked
+      parallel sweep on this, not on {!size}, and {!run} opens its
+      [par.run] span on it, so what a run does and records is the same
+      whether or not the host's cores allow the jobs: a capped pool runs
+      the same chunks inline. *)
+
   val shutdown : t -> unit
   (** Join the worker domains.  Idempotent; the pool degrades to
       sequential (size-1 semantics) afterwards. *)

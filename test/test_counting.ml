@@ -144,18 +144,18 @@ let test_cltp_local () =
 (* Counting Hintikka                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let chintikka_defines ~q ~tmax g =
+let chintikka_defines ?(k = 1) ~q ~tmax g =
   let ctx = C.make_ctx g in
   let colors = Graph.color_names g in
-  let tuples = Graph.Tuple.all ~n:(Graph.order g) ~k:1 in
+  let tuples = Graph.Tuple.all ~n:(Graph.order g) ~k in
+  let vars = Modelcheck.Hintikka.variables k in
   List.for_all
     (fun u ->
       let theta = C.ctp ctx ~q ~tmax u in
       let f = C.hintikka ~colors ~tmax theta in
       List.for_all
         (fun v ->
-          E.holds_tuple g ~vars:[ "x1" ] v f
-          = C.equal (C.ctp ctx ~q ~tmax v) theta)
+          E.holds_tuple g ~vars v f = C.equal (C.ctp ctx ~q ~tmax v) theta)
         tuples)
     tuples
 
@@ -273,6 +273,39 @@ let counting_nnf_semantics =
           E.holds g [ ("x", v) ] f = E.holds g [ ("x", v) ] (F.nnf f))
         [ 0; 2; 5 ])
 
+(* gnp graphs with two colours drawn independently: a vertex may hold
+   both colours or neither *)
+let two_colour_gnp ~seed ~n =
+  Gen.colored ~seed ~colors:[ "Red"; "Blue" ]
+    (Gen.gnp ~seed:(seed + 4) ~n ~p:0.4)
+
+(* counting types share the plain types' atomic-type coder; at tmax = 1
+   they must partition tuples exactly as plain types do *)
+let ctp_tmax1_random =
+  QCheck.Test.make ~name:"ctp at tmax=1 = plain types (random)" ~count:30
+    QCheck.(triple (int_range 0 1000) (int_range 0 2) (int_range 1 2))
+    (fun (seed, q, k) ->
+      let n = if k = 1 then 7 else 5 in
+      let g = two_colour_gnp ~seed ~n in
+      let ctx = C.make_ctx g and tctx = T.make_ctx g in
+      let tuples = Graph.Tuple.all ~n ~k in
+      List.for_all
+        (fun u ->
+          List.for_all
+            (fun v ->
+              C.equal (C.ctp ctx ~q ~tmax:1 u) (C.ctp ctx ~q ~tmax:1 v)
+              = T.equal (T.tp tctx ~q u) (T.tp tctx ~q v))
+            tuples)
+        tuples)
+
+let chintikka_random =
+  QCheck.Test.make ~name:"counting Hintikka defines its type (random, q<=2)"
+    ~count:12
+    QCheck.(triple (int_range 0 1000) (int_range 1 2) (int_range 1 3))
+    (fun (seed, q, tmax) ->
+      let k = if q = 2 then 1 else 2 in
+      chintikka_defines ~k ~q ~tmax (two_colour_gnp ~seed ~n:5))
+
 let suite =
   [
     Alcotest.test_case "count_ge constructor" `Quick test_count_ge_constructor;
@@ -298,4 +331,6 @@ let suite =
     Alcotest.test_case "counting never worse" `Quick test_counting_never_worse;
     Alcotest.test_case "counting guards" `Quick test_counting_guards;
     QCheck_alcotest.to_alcotest counting_nnf_semantics;
+    QCheck_alcotest.to_alcotest ctp_tmax1_random;
+    QCheck_alcotest.to_alcotest chintikka_random;
   ]

@@ -229,6 +229,82 @@ let test_precheck_never_fires_unlimited () =
     (Plan.precheck ~what:"test" p (Plan.limits ~timeout_s:1e-9 ()) = None)
 
 (* ------------------------------------------------------------------ *)
+(* Budget parity of the shared builds                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* a q = 2 brute instance with a parameter, on a two-colour graph *)
+let g_par =
+  Gen.colored ~seed:5 ~colors:[ "Red"; "Blue" ] (Gen.gnp ~seed:6 ~n:9 ~p:0.3)
+
+let lam_par =
+  Sam.label_with g_par
+    ~target:(fun v -> Graph.degree g_par v.(0) >= 2)
+    (Sam.all_tuples g_par ~k:1)
+
+let spent_of = function
+  | Guard.Complete _ -> Alcotest.fail "expected the run to complete"
+  | Guard.Exhausted _ -> Alcotest.fail "an unlimited budget exhausted"
+
+(* The Hintikka builder shares each distinct type, yet must spend the
+   fuel of the unshared tree: one tick per node, every child repeated
+   under ∃ and ∀.  The reference recurses over [Types.node] alone. *)
+let test_hintikka_fuel_parity () =
+  let r = Folearn.Erm_brute.solve g_par ~k:1 ~ell:1 ~q:2 lam_par in
+  let h = r.Folearn.Erm_brute.hypothesis in
+  let types =
+    Modelcheck.Types.partition_by_tp
+      (Modelcheck.Types.make_ctx g_par)
+      ~q:2
+      (List.filter_map
+         (fun (v, _) ->
+           if Folearn.Hypothesis.predict h v then
+             Some (Graph.Tuple.append v (Folearn.Hypothesis.params h))
+           else None)
+         lam_par)
+    |> List.map fst
+  in
+  check "some positive type" true (types <> []);
+  let rec unshared t =
+    match snd (Modelcheck.Types.node t) with
+    | None -> 1
+    | Some kids ->
+        List.fold_left (fun acc kid -> acc + (2 * unshared kid)) 1 kids
+  in
+  let expected = List.fold_left (fun acc t -> acc + unshared t) 0 types in
+  let budget = Guard.Budget.unlimited () in
+  (match
+     Guard.run ~budget ~salvage:(fun () -> None) (fun () ->
+         ignore (Folearn.Hypothesis.formula h))
+   with
+  | Guard.Complete () -> ()
+  | o -> spent_of o);
+  check_int "fuel of the unshared tree" expected
+    (Guard.Budget.spent budget).Guard.fuel
+
+(* Brute ERM computes types through the integer-coded kernel but must
+   still spend exactly what Plan predicts for the all-rank memo model. *)
+let test_brute_exact_envelope () =
+  let inp = Plan.input g_par ~k:1 ~ell:1 ~q:2 (List.map fst lam_par) in
+  let p = Plan.analyze inp Plan.Brute in
+  let budget = Guard.Budget.unlimited () in
+  (match
+     Folearn.Erm_brute.solve_budgeted ~budget g_par ~k:1 ~ell:1 ~q:2 lam_par
+   with
+  | Guard.Complete _ -> ()
+  | o -> spent_of o);
+  let spent = Guard.Budget.spent budget in
+  let exact (e : CM.Env.t) =
+    check "envelope exact" true (e.CM.Env.lo = e.CM.Env.hi);
+    Option.get (Count.to_int_opt e.CM.Env.hi)
+  in
+  check_int "fuel = Plan.fuel_total" (exact p.Plan.fuel_total) spent.Guard.fuel;
+  let rows = exact p.Plan.table_total in
+  (* the peak note comes while the last call's q unfinished ancestors
+     are still open *)
+  check_int "table peak = Plan.table_total - q" (rows - 2)
+    spent.Guard.table_rows
+
+(* ------------------------------------------------------------------ *)
 (* model_check_floor soundness                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -331,4 +407,8 @@ let suite =
       test_model_check_precheck;
     Alcotest.test_case "cost JSON is lossless, saturation reported" `Quick
       test_cost_saturation_and_roundtrip;
+    Alcotest.test_case "budget parity: shared Hintikka = unshared fuel" `Quick
+      test_hintikka_fuel_parity;
+    Alcotest.test_case "budget parity: brute spends Plan's exact envelope"
+      `Quick test_brute_exact_envelope;
   ]

@@ -77,14 +77,73 @@ let test_types_vs_ef_2tuples () =
   check "rank 1 pairs" true
     (types_match_ef ~q:1 p6 (Graph.Tuple.all ~n:6 ~k:2))
 
+(* Random graphs for the type oracles: a one-colour random tree, or a
+   gnp graph with two colours drawn independently, so that a vertex may
+   hold both colours or neither. *)
+let random_graph ~seed ~n ~tree =
+  if tree then
+    Gen.colored ~seed ~colors:[ "Red" ] (Gen.random_tree ~seed:(seed + 3) n)
+  else
+    Gen.colored ~seed ~colors:[ "Red"; "Blue" ]
+      (Gen.gnp ~seed:(seed + 3) ~n ~p:0.4)
+
+(* k = 2 runs over every pair, repeated vertices included, which is
+   what exercises the equality masks of the atomic-type coder *)
 let types_vs_ef_random =
-  QCheck.Test.make ~name:"canonical type equality = EF equivalence" ~count:25
-    QCheck.(pair (int_range 0 1000) (int_range 0 2))
-    (fun (seed, q) ->
+  QCheck.Test.make ~name:"canonical type equality = EF equivalence" ~count:40
+    QCheck.(quad (int_range 0 1000) (int_range 0 2) (int_range 1 2) bool)
+    (fun (seed, q, k, tree) ->
+      let n = if k = 1 then 7 else 5 in
+      types_match_ef ~q (random_graph ~seed ~n ~tree) (Graph.Tuple.all ~n ~k))
+
+(* The integer coder against the direct construction: the signature of
+   a tuple's code, and of every one-point extension [extend] produces,
+   is exactly [atomic_signature] of that tuple. *)
+let coder_vs_atomic_signature =
+  QCheck.Test.make ~name:"coder signatures = atomic_signature (random)" ~count:30
+    QCheck.(triple (int_range 0 1000) (int_range 0 3) bool)
+    (fun (seed, k, tree) ->
+      let n = 6 in
+      let g = random_graph ~seed ~n ~tree in
+      let c = T.Coder.make g in
+      let dst = Array.make n 0 in
+      List.for_all
+        (fun u ->
+          let p = T.Coder.of_tuple c u in
+          T.Coder.extend c p u dst;
+          T.Coder.signature c p = T.atomic_signature g u
+          && List.for_all
+               (fun w ->
+                 T.Coder.signature c dst.(w)
+                 = T.atomic_signature g (Graph.Tuple.append u [| w |]))
+               (Graph.vertices g))
+        (Graph.Tuple.all ~n ~k))
+
+(* Colour-set ids are local to a context while type ids are global: the
+   same type must come out of two graphs whose colour vocabularies only
+   overlap, exactly when Duplicator wins across them. *)
+let types_vs_ef_cross_vocabulary =
+  QCheck.Test.make ~name:"type equality = EF equivalence across vocabularies"
+    ~count:25
+    QCheck.(triple (int_range 0 1000) (int_range 0 2) (int_range 1 2))
+    (fun (seed, q, k) ->
+      let n = if k = 1 then 6 else 4 in
       let g =
-        Gen.colored ~seed ~colors:[ "Red" ] (Gen.random_tree ~seed:(seed + 3) 7)
+        Gen.colored ~seed ~colors:[ "Red"; "Blue" ]
+          (Gen.gnp ~seed:(seed + 1) ~n ~p:0.4)
+      and h =
+        Gen.colored ~seed:(seed + 7) ~colors:[ "Blue"; "Green" ]
+          (Gen.gnp ~seed:(seed + 2) ~n ~p:0.4)
       in
-      types_match_ef ~q g (Graph.Tuple.all ~n:7 ~k:1))
+      let gctx = T.make_ctx g and hctx = T.make_ctx h in
+      let tuples = Graph.Tuple.all ~n ~k in
+      List.for_all
+        (fun u ->
+          List.for_all
+            (fun v ->
+              T.equal (T.tp gctx ~q u) (T.tp hctx ~q v) = Ef.equiv ~q g u h v)
+            tuples)
+        tuples)
 
 let test_types_cross_graph () =
   (* a path endpoint in P6 looks like a path endpoint in P7 at rank 1 *)
@@ -197,13 +256,12 @@ let test_hintikka_rank2 () =
     (hintikka_defines_type ~q:2 p6 (Graph.Tuple.all ~n:6 ~k:1))
 
 let hintikka_random =
-  QCheck.Test.make ~name:"Hintikka formula defines its type (random)" ~count:15
-    QCheck.(int_range 0 1000)
-    (fun seed ->
-      let g =
-        Gen.colored ~seed ~colors:[ "Red" ] (Gen.gnp ~seed:(seed + 5) ~n:5 ~p:0.5)
-      in
-      hintikka_defines_type ~q:1 g (Graph.Tuple.all ~n:5 ~k:1))
+  QCheck.Test.make ~name:"Hintikka formula defines its type (random)" ~count:20
+    QCheck.(quad (int_range 0 1000) (int_range 0 2) (int_range 1 2) bool)
+    (fun (seed, q, k, tree) ->
+      let n = if k = 1 then 5 else 4 in
+      hintikka_defines_type ~q (random_graph ~seed ~n ~tree)
+        (Graph.Tuple.all ~n ~k))
 
 let test_hintikka_cross_graph () =
   (* the Hintikka formula of a C6 vertex at rank 1 holds of C7 (and even
@@ -262,7 +320,36 @@ let test_node_decomposition () =
   check "edge recorded" true (sg.T.edgs = [ (0, 1) ]);
   check "no equalities" true (sg.T.eqs = []);
   let sg' = T.atomic_signature p6 [| 3; 3 |] in
-  check "equality recorded" true (sg'.T.eqs = [ (0, 1) ])
+  check "equality recorded" true (sg'.T.eqs = [ (0, 1) ]);
+  check "vertex outside the graph rejected" true
+    (try
+       ignore (T.tp ctx ~q:1 [| 2; 6 |]);
+       false
+     with Graph.Invalid_vertex 6 -> true);
+  check "arity too wide for the coder rejected" true
+    (try
+       ignore (T.tp ctx ~q:1 (Array.make 40 0));
+       false
+     with Invalid_argument _ -> true)
+
+let test_ctx_survives_trip () =
+  (* a budget that trips inside a rank-1 node's leaf loop must leave the
+     context answering exactly as a fresh one *)
+  let g = Graph.with_colors (Gen.cycle 7) [ ("Red", [ 0; 2; 3 ]) ] in
+  let ctx = T.make_ctx g in
+  (match
+     Guard.run
+       ~budget:(Guard.Budget.make ~fuel:5 ())
+       ~salvage:(fun () -> None)
+       (fun () -> T.tp ctx ~q:2 [| 0 |])
+   with
+  | Guard.Exhausted _ -> ()
+  | Guard.Complete _ -> Alcotest.fail "expected the fuel to run out");
+  List.iter
+    (fun u ->
+      check "same type as a fresh context" true
+        (T.equal (T.tp ctx ~q:2 u) (T.tp_graph g ~q:2 u)))
+    (Graph.Tuple.all ~n:7 ~k:1)
 
 let test_rank_distinguishing_bounds () =
   check "equal tuples never distinguished" true
@@ -312,4 +399,8 @@ let suite =
     QCheck_alcotest.to_alcotest types_vs_ef_random;
     QCheck_alcotest.to_alcotest fact5_random;
     QCheck_alcotest.to_alcotest hintikka_random;
+    Alcotest.test_case "context survives a guard trip" `Quick
+      test_ctx_survives_trip;
+    QCheck_alcotest.to_alcotest types_vs_ef_cross_vocabulary;
+    QCheck_alcotest.to_alcotest coder_vs_atomic_signature;
   ]
