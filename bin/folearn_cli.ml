@@ -672,7 +672,7 @@ let learn_cmd =
       run_id_of
         [
           "learn"; Io.to_string g;
-          Format.asprintf "%a" Fo.Formula.pp target;
+          Fo.Formula.to_string target;
           string_of_int k; string_of_int ell; string_of_int q; solver_name;
           string_of_int tmax; string_of_float noise; string_of_int m;
           string_of_int seed;
@@ -1464,7 +1464,7 @@ let mc_cmd =
       run_id_of
         [
           "mc"; Io.to_string g;
-          Format.asprintf "%a" Fo.Formula.pp phi;
+          Fo.Formula.to_string phi;
           string_of_bool via_erm;
         ]
     in
@@ -1572,8 +1572,10 @@ let types_cmd =
               Modelcheck.Types.pp ty (List.length members) Graph.Tuple.pp
               (List.hd members);
             if hintikka then
-              Format.printf "  %a@." Fo.Formula.pp
-                (Modelcheck.Hintikka.of_type ~colors:(Graph.color_names g) ty))
+              Format.printf "  %t@." (fun ppf ->
+                  Fo.Formula.render ~col:2 (Format.pp_print_string ppf)
+                    (Modelcheck.Hintikka.of_type
+                       ~colors:(Graph.color_names g) ty)))
           classes;
         0
     | Guard.Exhausted { reason; checkpoint; spent; _ } ->

@@ -249,6 +249,13 @@ let quantifier_rank h = h.qrank
 let training_error h lam = Sample.error_of h.predictor lam
 let signature h = Lazy.force h.signature
 
+(* one span per printed witness, never per node; forcing the lazy
+   Hintikka build inside it attributes materialisation apart from
+   rendering *)
 let pp ppf h =
-  Format.fprintf ppf "@[<v>phi(x1..x%d; y1..y%d) =@;<1 2>@[%a@]@,w = %a@]" h.k
-    h.ell Fo.Formula.pp (formula h) Graph.Tuple.pp h.params
+  Obs.Span.with_ "hypothesis.render" @@ fun () ->
+  let phi = Obs.Span.with_ "hintikka.build" (fun () -> formula h) in
+  Format.fprintf ppf "@[<v>phi(x1..x%d; y1..y%d) =@;<1 2>%t@,w = %a@]" h.k
+    h.ell
+    (fun ppf -> Fo.Formula.render ~col:2 (Format.pp_print_string ppf) phi)
+    Graph.Tuple.pp h.params

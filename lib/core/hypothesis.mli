@@ -107,4 +107,7 @@ val signature : t -> string
     in the hardness reduction. *)
 
 val pp : Format.formatter -> t -> unit
-(** Prints the witness formula and the parameters. *)
+(** Prints the witness formula, rendered at column 2 by
+    {!Fo.Formula.render}, and the parameters.  Runs in an
+    [hypothesis.render] span, with the witness's materialisation in a
+    nested [hintikka.build] span. *)

@@ -276,53 +276,176 @@ let rec simplify f =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The layout is the one [Format] gives an hvbox around the formula and
+   one around each And/Or list at margin 78 and max-indent 68, every
+   other break belonging to the innermost box.  A box is flat iff its
+   flat width is strictly less than the space left where it opens, so
+   the fit test never looks further ahead than one margin; a broken box
+   turns each of its breaks into a newline indented to the box's own
+   column.  A box opened past column 68 inside a broken box first
+   breaks to that box's indent, but its fit test keeps the space that
+   was left before that break, as Format's look-ahead does. *)
+
+let margin = 78
+let max_indent = 68
+let chunk = 65536
+
 (* precedence levels: 0 = iff, 1 = implies, 2 = or, 3 = and, 4 = unary *)
-let rec pp_prec lvl ppf f =
-  let paren needed body =
-    if needed then Format.fprintf ppf "(%t)" body else body ppf
+let parenthesised lvl = function
+  | And _ -> lvl > 3
+  | Or _ -> lvl > 2
+  | Implies _ -> lvl > 1
+  | Iff _ | Exists _ | Forall _ | CountGe _ -> lvl > 0
+  | True | False | Atom _ | Not _ -> false
+
+(* [fit b lvl f] is [b] less the flat width of [f] at level [lvl],
+   given up on as soon as it is negative *)
+let rec fit b lvl f =
+  if b < 0 then b
+  else
+    let b = if parenthesised lvl f then b - 2 else b in
+    let len = String.length in
+    match f with
+    | True -> b - 4
+    | False -> b - 5
+    | Atom (Eq (x, y)) -> b - len x - len y - 3
+    | Atom (Edge (x, y)) -> b - len x - len y - 5
+    | Atom (Color (c, x)) -> b - len c - len x - 2
+    | Not g -> fit (b - 1) 4 g
+    | And fs -> fit_list b 4 0 fs
+    | Or fs -> fit_list b 3 0 fs
+    | Implies (g, h) -> fit (fit (b - 4) 2 g) 1 h
+    | Iff (g, h) -> fit (fit (b - 5) 1 g) 1 h
+    | Exists (x, g) | Forall (x, g) -> fit (b - 9 - len x) 0 g
+    | CountGe (t, x, g) -> fit (b - 11 - len (string_of_int t) - len x) 0 g
+
+(* list items are joined by 4-character separators *)
+and fit_list b lvl sep = function
+  | [] -> b
+  | f :: fs -> if b < 0 then b else fit_list (fit (b - sep) lvl f) lvl 4 fs
+
+type out = {
+  emit : string -> unit;
+  buf : Bytes.t;
+  mutable len : int;
+  mutable col : int;
+}
+
+let flush o =
+  if o.len > 0 then begin
+    o.emit (Bytes.sub_string o.buf 0 o.len);
+    o.len <- 0
+  end
+
+(* the pieces are short: the common case is one blit into the chunk *)
+let rec text o s =
+  let n = String.length s in
+  if o.len + n <= chunk then begin
+    Bytes.unsafe_blit_string s 0 o.buf o.len n;
+    o.len <- o.len + n;
+    o.col <- o.col + n
+  end
+  else begin
+    flush o;
+    if n <= chunk then text o s
+    else begin
+      text o (String.sub s 0 chunk);
+      text o (String.sub s chunk (n - chunk))
+    end
+  end
+
+let char o c =
+  if o.len = chunk then flush o;
+  Bytes.unsafe_set o.buf o.len c;
+  o.len <- o.len + 1;
+  o.col <- o.col + 1
+
+let newline o indent =
+  if o.len + 1 + indent > chunk then flush o;
+  Bytes.unsafe_set o.buf o.len '\n';
+  Bytes.unsafe_fill o.buf (o.len + 1) indent ' ';
+  o.len <- o.len + 1 + indent;
+  o.col <- indent
+
+(* a break of the innermost box *)
+let break o ind = if ind < 0 then char o ' ' else newline o ind
+
+(* [ind] is the indent of the innermost box if it is broken, -1 if it
+   is flat *)
+let rec layout o ind lvl f =
+  let paren = parenthesised lvl f in
+  if paren then char o '(';
+  (match f with
+  | True -> text o "true"
+  | False -> text o "false"
+  | Atom (Eq (x, y)) ->
+      text o x;
+      text o " = ";
+      text o y
+  | Atom (Edge (x, y)) ->
+      text o "E(";
+      text o x;
+      text o ", ";
+      text o y;
+      char o ')'
+  | Atom (Color (c, x)) ->
+      text o c;
+      char o '(';
+      text o x;
+      char o ')'
+  | Not g ->
+      char o '~';
+      layout o ind 4 g
+  | And fs -> box o ind 4 " /\\" fs
+  | Or fs -> box o ind 3 " \\/" fs
+  | Implies (g, h) ->
+      layout o ind 2 g;
+      text o " -> ";
+      layout o ind 1 h
+  | Iff (g, h) ->
+      layout o ind 1 g;
+      text o " <-> ";
+      layout o ind 1 h
+  | Exists (x, g) -> binder o ind "exists " x g
+  | Forall (x, g) -> binder o ind "forall " x g
+  | CountGe (t, x, g) -> binder o ind ("atleast " ^ string_of_int t ^ " ") x g);
+  if paren then char o ')'
+
+and binder o ind head x g =
+  text o head;
+  text o x;
+  char o '.';
+  break o ind;
+  layout o ind 0 g
+
+and box o ind lvl sep fs =
+  let ind =
+    if ind < 0 then -1
+    else begin
+      let space = margin - o.col in
+      if o.col > max_indent then newline o ind;
+      if fit_list (space - 1) lvl 0 fs < 0 then o.col else -1
+    end
   in
-  match f with
-  | True -> Format.pp_print_string ppf "true"
-  | False -> Format.pp_print_string ppf "false"
-  | Atom (Eq (x, y)) -> Format.fprintf ppf "%s = %s" x y
-  | Atom (Edge (x, y)) -> Format.fprintf ppf "E(%s, %s)" x y
-  | Atom (Color (c, x)) -> Format.fprintf ppf "%s(%s)" c x
-  | Not f ->
-      Format.pp_print_string ppf "~";
-      pp_prec 4 ppf f
-  | And fs ->
-      paren (lvl > 3) (fun ppf ->
-          Format.pp_open_hvbox ppf 0;
-          Format.pp_print_list
-            ~pp_sep:(fun ppf () -> Format.fprintf ppf " /\\@ ")
-            (pp_prec 4) ppf fs;
-          Format.pp_close_box ppf ())
-  | Or fs ->
-      paren (lvl > 2) (fun ppf ->
-          Format.pp_open_hvbox ppf 0;
-          Format.pp_print_list
-            ~pp_sep:(fun ppf () -> Format.fprintf ppf " \\/@ ")
-            (pp_prec 3) ppf fs;
-          Format.pp_close_box ppf ())
-  | Implies (a, b) ->
-      paren (lvl > 1) (fun ppf ->
-          Format.fprintf ppf "%a -> %a" (pp_prec 2) a (pp_prec 1) b)
-  | Iff (a, b) ->
-      paren (lvl > 0) (fun ppf ->
-          Format.fprintf ppf "%a <-> %a" (pp_prec 1) a (pp_prec 1) b)
-  | Exists (x, f) ->
-      paren (lvl > 0) (fun ppf ->
-          Format.fprintf ppf "exists %s.@ %a" x (pp_prec 0) f)
-  | Forall (x, f) ->
-      paren (lvl > 0) (fun ppf ->
-          Format.fprintf ppf "forall %s.@ %a" x (pp_prec 0) f)
-  | CountGe (t, x, f) ->
-      paren (lvl > 0) (fun ppf ->
-          Format.fprintf ppf "atleast %d %s.@ %a" t x (pp_prec 0) f)
+  List.iteri
+    (fun i f ->
+      if i > 0 then begin
+        text o sep;
+        break o ind
+      end;
+      layout o ind lvl f)
+    fs
 
-let pp ppf f =
-  Format.pp_open_hvbox ppf 0;
-  pp_prec 0 ppf f;
-  Format.pp_close_box ppf ()
+let render ?(col = 0) emit f =
+  if col < 0 || col > max_indent then
+    invalid_arg "Formula.render: column outside 0..68";
+  let o = { emit; buf = Bytes.create chunk; len = 0; col } in
+  layout o (if fit (margin - col - 1) 0 f < 0 then col else -1) 0 f;
+  flush o
 
-let to_string f = Format.asprintf "%a" pp f
+let pp ppf f = render (Format.pp_print_string ppf) f
+
+let to_string ?col f =
+  let b = Buffer.create 256 in
+  render ?col (Buffer.add_string b) f;
+  Buffer.contents b

@@ -105,9 +105,31 @@ val fresh_var : avoid:var list -> string -> var
 (** [fresh_var ~avoid base] is a variable named like [base] that avoids
     the given names. *)
 
-(** {1 Printing} *)
+(** {1 Printing}
+
+    Layout contract: the bytes are those [Format] prints for one hvbox
+    around the whole formula and one around each [And]/[Or] list, at
+    margin 78 and max-indent 68, with every other break (after a
+    quantifier's dot) belonging to the innermost enclosing box.  A box
+    is laid out flat iff its flat width is strictly less than the space
+    left where it opens; a broken box turns each of its breaks into a
+    newline indented to the column where the box opened; a box opened
+    past column 68 inside a broken box first breaks to that box's
+    indent (its fit test still uses the space left before that
+    break).  The output is the concrete syntax accepted by
+    {!Parser.parse}. *)
+
+val render : ?col:int -> (string -> unit) -> t -> unit
+(** [render ~col emit f] lays [f] out as if it started at column [col]
+    (default 0, at most 68) and passes the bytes to [emit] in order, in
+    chunks of at most 64 KiB, so the text is never held whole.
+    @raise Invalid_argument if [col] is outside [0..68]. *)
 
 val pp : Format.formatter -> t -> unit
-(** Concrete syntax accepted by {!Parser.parse}. *)
+(** [render] with column-0 layout into a formatter, whatever the
+    formatter's own column: the chunks go to it as opaque text.  A
+    caller printing at another column passes
+    [render ~col (Format.pp_print_string ppf)] instead. *)
 
-val to_string : t -> string
+val to_string : ?col:int -> t -> string
+(** The bytes of [render ?col]. *)

@@ -144,6 +144,7 @@ let count_types g ~q ~tmax ~k =
 (* Each distinct child is built once per call and shared by its
    lower-bound, upper-bound and exhaustion conjuncts. *)
 let hintikka ?vars ~colors ~tmax theta =
+  Obs.Metric.incr Hintikka.formulas_built;
   let memo = Hashtbl.create 16 in
   let rec go theta vars =
     match Hashtbl.find_opt memo theta with

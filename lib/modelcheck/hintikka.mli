@@ -15,6 +15,10 @@
 val variables : int -> Fo.Formula.var list
 (** [variables k] = the standard variable names [x1; ...; xk]. *)
 
+val formulas_built : Obs.Metric.counter
+(** [modelcheck.hintikka.formulas_built]: one per call of {!of_type}
+    and of {!Ctypes.hintikka}, plain and counting witnesses alike. *)
+
 val atomic_formula :
   colors:string list -> Types.atomsig -> Fo.Formula.var list -> Fo.Formula.t
 (** [atomic_formula ~colors sg vars]: the conjunction of the equality,

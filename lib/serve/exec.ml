@@ -159,7 +159,7 @@ let learn_run_id p =
   run_id_of
     [
       "learn"; Io.to_string p.lp_g;
-      Format.asprintf "%a" Fo.Formula.pp p.lp_target;
+      Fo.Formula.to_string p.lp_target;
       string_of_int p.lp_k; string_of_int p.lp_ell; string_of_int p.lp_q;
       solver_name p.lp_solver;
       string_of_int p.lp_tmax; string_of_float p.lp_noise;
@@ -455,8 +455,10 @@ let run_types ~out ~err ?budget ~ckpt params =
             Modelcheck.Types.pp ty (List.length members) Graph.Tuple.pp
             (List.hd members);
           if hintikka then
-            Format.fprintf out "  %a@." Fo.Formula.pp
-              (Modelcheck.Hintikka.of_type ~colors:(Graph.color_names g) ty))
+            Format.fprintf out "  %t@." (fun ppf ->
+                Fo.Formula.render ~col:2 (Format.pp_print_string ppf)
+                  (Modelcheck.Hintikka.of_type
+                     ~colors:(Graph.color_names g) ty)))
         classes;
       0
   | Guard.Exhausted { reason; checkpoint; spent; _ } ->

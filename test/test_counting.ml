@@ -176,6 +176,20 @@ let test_chintikka_cross_graph () =
   check "holds in C9" true (E.holds_tuple (Gen.cycle 9) ~vars:[ "x1" ] [| 0 |] f);
   check "fails at P6 endpoint" false (E.holds_tuple p6 ~vars:[ "x1" ] [| 0 |] f)
 
+(* a counting witness shows in --stats, /metrics and the flight
+   recorder like a plain one: one formulas_built per build, however
+   many child types it shares *)
+let test_chintikka_counted () =
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let built () = Obs.Metric.value Modelcheck.Hintikka.formulas_built in
+  let before = built () in
+  let theta = C.ctp (C.make_ctx p6) ~q:2 ~tmax:2 [| 0 |] in
+  ignore (C.hintikka ~colors:[] ~tmax:2 theta);
+  check_int "one per counting build" 1 (built () - before);
+  ignore (Modelcheck.Hintikka.of_tuple ~colors:[] p6 ~q:2 [| 0 |]);
+  check_int "one per plain build" 2 (built () - before)
+
 (* ------------------------------------------------------------------ *)
 (* Counting ERM                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -333,4 +347,6 @@ let suite =
     QCheck_alcotest.to_alcotest counting_nnf_semantics;
     QCheck_alcotest.to_alcotest ctp_tmax1_random;
     QCheck_alcotest.to_alcotest chintikka_random;
+    Alcotest.test_case "counting Hintikka counted" `Quick
+      test_chintikka_counted;
   ]

@@ -349,6 +349,192 @@ let test_rank_overhead () =
   check_int "r=3" 2 (Fo.Gaifman.rank_overhead 3);
   check_int "r=8" 3 (Fo.Gaifman.rank_overhead 8)
 
+(* ------------------------------------------------------------------ *)
+(* Rendering: byte-identical to the Format printer it replaced          *)
+(* ------------------------------------------------------------------ *)
+
+let columns = [ 0; 2; 7; 40; 60 ]
+
+let renders_as_reference f =
+  List.for_all (fun col -> F.to_string ~col f = Reference_pp.at col f) columns
+
+let arb_of gen = QCheck.make ~print:(Reference_pp.at 0) gen
+
+let genform ~allow_counting =
+  arb_of (fun st ->
+      let config = { Fo.Genform.default with allow_counting } in
+      Fo.Genform.formula ~config ~seed:(Random.State.bits st) ())
+
+(* Formulas no smart constructor builds: Implies, Iff, True and False
+   anywhere, identifiers of 12 or more characters, thresholds past 9,
+   and one path nested [depth] (6 to 8) deep with shallower siblings. *)
+let unnormalised =
+  arb_of (fun st ->
+      let int n = Random.State.int st n in
+      let long prefix =
+        prefix ^ String.init (12 + int 9) (fun _ -> Char.chr (97 + int 26))
+      in
+      let vars = [ "x"; "y1"; long "v_"; long "w_" ] in
+      let colors = [ "Red"; long "C_" ] in
+      let pick l = List.nth l (int (List.length l)) in
+      let rec gen depth =
+        if depth = 0 then
+          match int 5 with
+          | 0 -> F.True
+          | 1 -> F.False
+          | 2 -> F.Atom (F.Eq (pick vars, pick vars))
+          | 3 -> F.Atom (F.Edge (pick vars, pick vars))
+          | _ -> F.Atom (F.Color (pick colors, pick vars))
+        else
+          let deep () = gen (depth - 1) and shallow () = gen (int depth) in
+          let items () =
+            let n = 2 + int 3 in
+            let at = int n in
+            List.init n (fun i -> if i = at then deep () else shallow ())
+          in
+          let pair () =
+            if Random.State.bool st then (deep (), shallow ())
+            else (shallow (), deep ())
+          in
+          match int 8 with
+          | 0 -> F.Not (deep ())
+          | 1 -> F.And (items ())
+          | 2 -> F.Or (items ())
+          | 3 ->
+              let a, b = pair () in
+              F.Implies (a, b)
+          | 4 ->
+              let a, b = pair () in
+              F.Iff (a, b)
+          | 5 -> F.Exists (pick vars, deep ())
+          | 6 -> F.Forall (pick vars, deep ())
+          | _ -> F.CountGe (1 + int 12, pick vars, deep ())
+      in
+      gen (6 + int 3))
+
+let render_genform =
+  QCheck.Test.make ~name:"to_string ~col = Format over Genform" ~count:2000
+    (genform ~allow_counting:false) renders_as_reference
+
+let render_genform_counting =
+  QCheck.Test.make ~name:"to_string ~col = Format over counting Genform"
+    ~count:2000 (genform ~allow_counting:true) renders_as_reference
+
+let render_unnormalised =
+  QCheck.Test.make ~name:"to_string ~col = Format over unnormalised formulas"
+    ~count:2000 unnormalised renders_as_reference
+
+(* the compositions the printers use: Hypothesis.pp's vertical box and
+   the two-blank prefix of `types --hintikka` *)
+let render_in_context =
+  QCheck.Test.make ~name:"render ~col:2 = Format inside the witness layouts"
+    ~count:500 unnormalised (fun f ->
+      let hyp body =
+        Format.asprintf "@[<v>phi(x1..x1; y1..y0) =@;<1 2>%t@,w = ()@]@." body
+      in
+      hyp (fun ppf -> Format.fprintf ppf "@[%a@]" Reference_pp.pp f)
+      = hyp (fun ppf -> F.render ~col:2 (Format.pp_print_string ppf) f)
+      && Format.asprintf "  %a@." Reference_pp.pp f
+         = "  " ^ F.to_string ~col:2 f ^ "\n")
+
+(* [A(x) /\ c...c(y)] has flat width w *)
+let conj_of_width w =
+  F.And
+    [
+      F.Atom (F.Color ("A", "x"));
+      F.Atom (F.Color (String.make (w - 11) 'c', "y"));
+    ]
+
+let test_fit_boundary () =
+  List.iter
+    (fun col ->
+      let space = 78 - col in
+      List.iter
+        (fun (w, broken) ->
+          let f = conj_of_width w in
+          let got = F.to_string ~col f in
+          let what = Printf.sprintf "col %d width %d" col w in
+          check_str (what ^ " = Format") (Reference_pp.at col f) got;
+          check (what ^ " broken") broken (String.contains got '\n'))
+        [ (space - 1, false); (space, true); (space + 1, true) ])
+    [ 0; 2; 40 ]
+
+(* In a broken And at indent 0, [(name(x) <-> A(x) \/ B(x))] opens
+   its Or box at column |name| + 9; the Or's flat width is 12. *)
+let test_box_past_max_indent () =
+  let case opens =
+    let name = String.make (opens - 9) 'n' in
+    let f =
+      F.And
+        [
+          F.Atom (F.Color ("P", "x"));
+          F.Iff
+            ( F.Atom (F.Color (name, "x")),
+              F.Or [ F.Atom (F.Color ("A", "x")); F.Atom (F.Color ("B", "x")) ] );
+        ]
+    in
+    let got = F.to_string f in
+    check_str (Printf.sprintf "box at %d = Format" opens) (Reference_pp.at 0 f)
+      got;
+    (name, got)
+  in
+  (* at 68 the box opens in place, broken (12 >= 78 - 68), indent 68 *)
+  let name, got = case 68 in
+  check_str "box at 68"
+    ("P(x) /\\\n(" ^ name ^ "(x) <-> A(x) \\/\n" ^ String.make 68 ' '
+   ^ "B(x))")
+    got;
+  (* at 69 it first breaks to the enclosing indent 0; the fit test
+     still uses the 9 columns that were left where it opened *)
+  let name, got = case 69 in
+  check_str "box at 69"
+    ("P(x) /\\\n(" ^ name ^ "(x) <-> \nA(x) \\/\nB(x))")
+    got
+
+(* no line is ever indented past 68, however deep boxes nest *)
+let test_indent_cap () =
+  let rec nest d =
+    if d = 0 then F.Atom (F.Color ("Leaf", "x"))
+    else
+      F.Not
+        (F.And [ F.Atom (F.Color ("Red", "x")); F.Exists ("y", nest (d - 1)) ])
+  in
+  let f = nest 30 in
+  List.iter
+    (fun col ->
+      let got = F.to_string ~col f in
+      check_str (Printf.sprintf "col %d = Format" col) (Reference_pp.at col f)
+        got;
+      List.iter
+        (fun line ->
+          let blanks = String.length line - String.length (String.trim line) in
+          check (Printf.sprintf "indent %d <= 68" blanks) true (blanks <= 68))
+        (String.split_on_char '\n' got))
+    [ 0; 60; 68 ]
+
+(* a witness larger than one chunk reaches the sink in pieces of at
+   most 64 KiB, in order *)
+let test_render_chunks () =
+  let f =
+    F.Or
+      (List.init 20_000 (fun i ->
+           F.And
+             [ F.Atom (F.Color ("Red", "x")); F.edge "x" (Printf.sprintf "y%d" i) ]))
+  in
+  let chunks = ref [] in
+  F.render (fun s -> chunks := s :: !chunks) f;
+  let chunks = List.rev !chunks in
+  check "several chunks" true (List.length chunks > 1);
+  check "chunks <= 64 KiB" true
+    (List.for_all (fun c -> String.length c <= 65536) chunks);
+  check_str "concatenation = Format" (Reference_pp.at 0 f)
+    (String.concat "" chunks);
+  check "column past 68 rejected" true
+    (try
+       ignore (F.to_string ~col:69 f);
+       false
+     with Invalid_argument _ -> true)
+
 let suite =
   [
     Alcotest.test_case "smart and" `Quick test_smart_and;
@@ -383,4 +569,13 @@ let suite =
     QCheck_alcotest.to_alcotest parser_exact_roundtrip_counting;
     QCheck_alcotest.to_alcotest nnf_preserves_semantics;
     QCheck_alcotest.to_alcotest relativize_is_local;
+    Alcotest.test_case "render fit boundary" `Quick test_fit_boundary;
+    Alcotest.test_case "render box past max indent" `Quick
+      test_box_past_max_indent;
+    Alcotest.test_case "render indent cap" `Quick test_indent_cap;
+    Alcotest.test_case "render chunks" `Quick test_render_chunks;
+    QCheck_alcotest.to_alcotest render_genform;
+    QCheck_alcotest.to_alcotest render_genform_counting;
+    QCheck_alcotest.to_alcotest render_unnormalised;
+    QCheck_alcotest.to_alcotest render_in_context;
   ]
