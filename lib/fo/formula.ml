@@ -284,7 +284,11 @@ let rec simplify f =
    turns each of its breaks into a newline indented to the box's own
    column.  A box opened past column 68 inside a broken box first
    breaks to that box's indent, but its fit test keeps the space that
-   was left before that break, as Format's look-ahead does. *)
+   was left before that break, as Format's look-ahead does.
+
+   The fit test is the flat layout itself, run in measuring mode: the
+   text advances the column without being written, and gives up as soon
+   as it passes the limit, so the syntax is spelled out only once. *)
 
 let margin = 78
 let max_indent = 68
@@ -298,38 +302,17 @@ let parenthesised lvl = function
   | Iff _ | Exists _ | Forall _ | CountGe _ -> lvl > 0
   | True | False | Atom _ | Not _ -> false
 
-(* [fit b lvl f] is [b] less the flat width of [f] at level [lvl],
-   given up on as soon as it is negative *)
-let rec fit b lvl f =
-  if b < 0 then b
-  else
-    let b = if parenthesised lvl f then b - 2 else b in
-    let len = String.length in
-    match f with
-    | True -> b - 4
-    | False -> b - 5
-    | Atom (Eq (x, y)) -> b - len x - len y - 3
-    | Atom (Edge (x, y)) -> b - len x - len y - 5
-    | Atom (Color (c, x)) -> b - len c - len x - 2
-    | Not g -> fit (b - 1) 4 g
-    | And fs -> fit_list b 4 0 fs
-    | Or fs -> fit_list b 3 0 fs
-    | Implies (g, h) -> fit (fit (b - 4) 2 g) 1 h
-    | Iff (g, h) -> fit (fit (b - 5) 1 g) 1 h
-    | Exists (x, g) | Forall (x, g) -> fit (b - 9 - len x) 0 g
-    | CountGe (t, x, g) -> fit (b - 11 - len (string_of_int t) - len x) 0 g
-
-(* list items are joined by 4-character separators *)
-and fit_list b lvl sep = function
-  | [] -> b
-  | f :: fs -> if b < 0 then b else fit_list (fit (b - sep) lvl f) lvl 4 fs
-
 type out = {
   emit : string -> unit;
   buf : Bytes.t;
   mutable len : int;
   mutable col : int;
+  (* while measuring, nothing is written and [col] may not pass [limit] *)
+  mutable measuring : bool;
+  mutable limit : int;
 }
+
+exception Too_wide
 
 let flush o =
   if o.len > 0 then begin
@@ -337,10 +320,15 @@ let flush o =
     o.len <- 0
   end
 
+let advance o n =
+  o.col <- o.col + n;
+  if o.col > o.limit then raise_notrace Too_wide
+
 (* the pieces are short: the common case is one blit into the chunk *)
 let rec text o s =
   let n = String.length s in
-  if o.len + n <= chunk then begin
+  if o.measuring then advance o n
+  else if o.len + n <= chunk then begin
     Bytes.unsafe_blit_string s 0 o.buf o.len n;
     o.len <- o.len + n;
     o.col <- o.col + n
@@ -355,11 +343,15 @@ let rec text o s =
   end
 
 let char o c =
-  if o.len = chunk then flush o;
-  Bytes.unsafe_set o.buf o.len c;
-  o.len <- o.len + 1;
-  o.col <- o.col + 1
+  if o.measuring then advance o 1
+  else begin
+    if o.len = chunk then flush o;
+    Bytes.unsafe_set o.buf o.len c;
+    o.len <- o.len + 1;
+    o.col <- o.col + 1
+  end
 
+(* never called while measuring: a measured layout is flat *)
 let newline o indent =
   if o.len + 1 + indent > chunk then flush o;
   Bytes.unsafe_set o.buf o.len '\n';
@@ -424,28 +416,47 @@ and box o ind lvl sep fs =
     else begin
       let space = margin - o.col in
       if o.col > max_indent then newline o ind;
-      if fit_list (space - 1) lvl 0 fs < 0 then o.col else -1
+      if fits o space lvl sep fs then -1 else o.col
     end
   in
-  List.iteri
-    (fun i f ->
-      if i > 0 then begin
-        text o sep;
-        break o ind
-      end;
-      layout o ind lvl f)
-    fs
+  items o ind lvl sep fs
+
+(* whether the flat layout of [items] is narrower than [space] columns *)
+and fits o space lvl sep fs =
+  let col = o.col in
+  o.measuring <- true;
+  o.col <- 0;
+  o.limit <- space - 1;
+  let fits =
+    match items o (-1) lvl sep fs with () -> true | exception Too_wide -> false
+  in
+  o.measuring <- false;
+  o.col <- col;
+  fits
+
+and items o ind lvl sep = function
+  | [] -> ()
+  | f :: fs ->
+      layout o ind lvl f;
+      List.iter
+        (fun f ->
+          text o sep;
+          break o ind;
+          layout o ind lvl f)
+        fs
 
 let render ?(col = 0) emit f =
   if col < 0 || col > max_indent then
     invalid_arg "Formula.render: column outside 0..68";
-  let o = { emit; buf = Bytes.create chunk; len = 0; col } in
-  layout o (if fit (margin - col - 1) 0 f < 0 then col else -1) 0 f;
+  let o =
+    { emit; buf = Bytes.create chunk; len = 0; col; measuring = false; limit = 0 }
+  in
+  layout o (if fits o (margin - col) 0 "" [ f ] then -1 else col) 0 f;
   flush o
 
 let pp ppf f = render (Format.pp_print_string ppf) f
 
-let to_string ?col f =
+let to_string f =
   let b = Buffer.create 256 in
-  render ?col (Buffer.add_string b) f;
+  render (Buffer.add_string b) f;
   Buffer.contents b

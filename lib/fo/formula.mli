@@ -127,9 +127,10 @@ val render : ?col:int -> (string -> unit) -> t -> unit
 
 val pp : Format.formatter -> t -> unit
 (** [render] with column-0 layout into a formatter, whatever the
-    formatter's own column: the chunks go to it as opaque text.  A
-    caller printing at another column passes
-    [render ~col (Format.pp_print_string ppf)] instead. *)
+    formatter's own column: the chunks go to it as opaque text, so the
+    formatter's boxes and margin do not reflow them.  A caller printing
+    at another column passes [render ~col (Format.pp_print_string ppf)]
+    instead. *)
 
-val to_string : ?col:int -> t -> string
-(** The bytes of [render ?col]. *)
+val to_string : t -> string
+(** The bytes of [render] with column-0 layout. *)

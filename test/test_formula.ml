@@ -355,8 +355,14 @@ let test_rank_overhead () =
 
 let columns = [ 0; 2; 7; 40; 60 ]
 
+(* the bytes of [F.render ~col] *)
+let at col f =
+  let b = Buffer.create 256 in
+  F.render ~col (Buffer.add_string b) f;
+  Buffer.contents b
+
 let renders_as_reference f =
-  List.for_all (fun col -> F.to_string ~col f = Reference_pp.at col f) columns
+  List.for_all (fun col -> at col f = Reference_pp.at col f) columns
 
 let arb_of gen = QCheck.make ~print:(Reference_pp.at 0) gen
 
@@ -413,15 +419,15 @@ let unnormalised =
       gen (6 + int 3))
 
 let render_genform =
-  QCheck.Test.make ~name:"to_string ~col = Format over Genform" ~count:2000
+  QCheck.Test.make ~name:"render ~col = Format over Genform" ~count:2000
     (genform ~allow_counting:false) renders_as_reference
 
 let render_genform_counting =
-  QCheck.Test.make ~name:"to_string ~col = Format over counting Genform"
+  QCheck.Test.make ~name:"render ~col = Format over counting Genform"
     ~count:2000 (genform ~allow_counting:true) renders_as_reference
 
 let render_unnormalised =
-  QCheck.Test.make ~name:"to_string ~col = Format over unnormalised formulas"
+  QCheck.Test.make ~name:"render ~col = Format over unnormalised formulas"
     ~count:2000 unnormalised renders_as_reference
 
 (* the compositions the printers use: Hypothesis.pp's vertical box and
@@ -435,7 +441,7 @@ let render_in_context =
       hyp (fun ppf -> Format.fprintf ppf "@[%a@]" Reference_pp.pp f)
       = hyp (fun ppf -> F.render ~col:2 (Format.pp_print_string ppf) f)
       && Format.asprintf "  %a@." Reference_pp.pp f
-         = "  " ^ F.to_string ~col:2 f ^ "\n")
+         = "  " ^ at 2 f ^ "\n")
 
 (* [A(x) /\ c...c(y)] has flat width w *)
 let conj_of_width w =
@@ -452,7 +458,7 @@ let test_fit_boundary () =
       List.iter
         (fun (w, broken) ->
           let f = conj_of_width w in
-          let got = F.to_string ~col f in
+          let got = at col f in
           let what = Printf.sprintf "col %d width %d" col w in
           check_str (what ^ " = Format") (Reference_pp.at col f) got;
           check (what ^ " broken") broken (String.contains got '\n'))
@@ -502,7 +508,7 @@ let test_indent_cap () =
   let f = nest 30 in
   List.iter
     (fun col ->
-      let got = F.to_string ~col f in
+      let got = at col f in
       check_str (Printf.sprintf "col %d = Format" col) (Reference_pp.at col f)
         got;
       List.iter
@@ -531,9 +537,27 @@ let test_render_chunks () =
     (String.concat "" chunks);
   check "column past 68 rejected" true
     (try
-       ignore (F.to_string ~col:69 f);
+       ignore (at 69 f);
        false
      with Invalid_argument _ -> true)
+
+(* [pp] prints the column-0 layout as opaque text wherever the
+   formatter is: an enclosing box may break before it but does not
+   reflow it, so its continuation lines keep their column-0 indents *)
+let test_pp_column_zero () =
+  let short = F.exists "y" (F.and_ [ F.edge "x" "y"; F.color "Red" "y" ]) in
+  let long =
+    F.Or
+      (List.init 6 (fun i ->
+           F.And [ F.color "Red" "x"; F.edge "x" (Printf.sprintf "y%d" i) ]))
+  in
+  let boxed f = Format.asprintf "@[<2>target:@ %a@]" F.pp f in
+  check "long formula is broken" true (String.contains (F.to_string long) '\n');
+  check_str "short fits after the label" ("target: " ^ F.to_string short)
+    (boxed short);
+  check_str "long breaks before, column-0 layout inside"
+    ("target:\n  " ^ F.to_string long)
+    (boxed long)
 
 let suite =
   [
@@ -574,6 +598,7 @@ let suite =
       test_box_past_max_indent;
     Alcotest.test_case "render indent cap" `Quick test_indent_cap;
     Alcotest.test_case "render chunks" `Quick test_render_chunks;
+    Alcotest.test_case "pp column-0 layout in a box" `Quick test_pp_column_zero;
     QCheck_alcotest.to_alcotest render_genform;
     QCheck_alcotest.to_alcotest render_genform_counting;
     QCheck_alcotest.to_alcotest render_unnormalised;
