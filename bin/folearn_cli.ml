@@ -44,16 +44,19 @@ let color_conv =
   let printer ppf (name, _) = Format.fprintf ppf "%s=..." name in
   Arg.conv (parser, printer)
 
-(* Formulas are taken as plain strings and parsed inside the command
-   body: cmdliner reserves its own exit code (124) for [Arg.conv]
-   failures, and a malformed formula must be a usage error (2) with the
-   parser's line/column diagnostics on stderr. *)
-let parse_formula_or_exit ~cmd ~flag s =
-  match Fo.Parser.parse_result s with
-  | Ok f -> f
-  | Error e ->
-      Format.eprintf "folearn %s: %s: %a@." cmd flag Fo.Parser.pp_error e;
+(* A usage error found while building a request (a malformed formula,
+   a target outside the graph's vocabulary, ...) exits 2 with its
+   message on stderr.  Formulas are taken as plain strings and parsed
+   inside the command body: cmdliner reserves its own exit code (124)
+   for [Arg.conv] failures. *)
+let or_usage = function
+  | Ok v -> v
+  | Error m ->
+      Format.eprintf "%s@." m;
       exit 2
+
+let parse_formula_or_exit ~cmd ~flag s =
+  or_usage (Serve.Exec.parse_formula ~cmd ~flag s)
 
 (* common args *)
 
@@ -69,8 +72,6 @@ let colors_arg =
     value & opt_all color_conv []
     & info [ "c"; "color" ] ~docv:"NAME=V,V"
         ~doc:"Add a colour class (repeatable), e.g. --color Red=0,3,6.")
-
-let with_cli_colors g colors = Graph.with_colors g colors
 
 (* observability: --trace / --stats / --stats-json on the compute-heavy
    subcommands.  The sink stays disabled unless one of them is given, so
@@ -98,6 +99,16 @@ let stats_json_arg =
         ~doc:
           "Write the metrics snapshot as JSON (pretty-print it back with \
            $(b,folearn stats)).")
+
+type obs_opts = {
+  trace : string option;
+  stats : bool;
+  stats_json : string option;
+}
+
+let obs_term =
+  let mk trace stats stats_json = { trace; stats; stats_json } in
+  Term.(const mk $ trace_arg $ stats_arg $ stats_json_arg)
 
 (* live telemetry: --metrics-addr serves /metrics, /metrics.json,
    /healthz and /progress from a domain of its own for the whole run;
@@ -173,7 +184,7 @@ let with_pulse ~cmd { metrics_addr; fdr } f =
                   Pulse.Server.stop srv)
                 f))
 
-let with_obs ~pulse ~trace ~stats ~stats_json f =
+let with_obs ~pulse { trace; stats; stats_json } f =
   if
     trace = None && (not stats) && stats_json = None
     && pulse.metrics_addr = None
@@ -208,9 +219,6 @@ let with_obs ~pulse ~trace ~stats ~stats_json f =
    checkpoint.  Exit codes: 0 complete, 2 usage, 3 degraded but
    answered, 4 exhausted with nothing to show. *)
 
-let exit_degraded = 3
-let exit_exhausted = 4
-
 let fuel_arg =
   Arg.(
     value
@@ -240,6 +248,27 @@ let max_ball_arg =
     & opt (some int) None
     & info [ "max-ball" ] ~docv:"VERTICES"
         ~doc:"Cap on the size of any neighbourhood ball.")
+
+type budget_opts = {
+  fuel : int option;
+  timeout : float option;
+  max_table : int option;
+  max_ball : int option;
+}
+
+let budget_term =
+  let mk fuel timeout max_table max_ball =
+    { fuel; timeout; max_table; max_ball }
+  in
+  Term.(const mk $ fuel_arg $ timeout_arg $ max_table_arg $ max_ball_arg)
+
+let has_limits { fuel; timeout; max_table; max_ball } =
+  fuel <> None || timeout <> None || max_table <> None || max_ball <> None
+
+let budget_of ({ fuel; timeout; max_table; max_ball } as b) =
+  if has_limits b then
+    Some (Guard.Budget.make ?fuel ?timeout_s:timeout ?max_table ?max_ball ())
+  else None
 
 (* admission control: a declared budget that is provably below the
    static first-settle floor ([Analysis.Plan]) is rejected before any
@@ -274,13 +303,6 @@ let apply_jobs = function
       Format.eprintf "folearn: --jobs must be >= 1 (got %d)@." n;
       exit 2
 
-let budget_of ~fuel ~timeout ~max_table ~max_ball =
-  if fuel = None && timeout = None && max_table = None && max_ball = None then
-    None
-  else
-    Some
-      (Guard.Budget.make ?fuel ?timeout_s:timeout ?max_table ?max_ball ())
-
 (* the /progress fuel gauge needs a live budget to read spend from, so
    --metrics-addr with no budget flag installs an unlimited one — the
    same precedent --checkpoint set for its snapshot cadence *)
@@ -290,26 +312,6 @@ let budget_for_pulse pulse budget =
   | None ->
       if pulse.metrics_addr = None then None
       else Some (Guard.Budget.unlimited ())
-
-let report_exhausted ~cmd ~reason ~checkpoint ~(spent : Guard.spent) =
-  let what =
-    match reason with
-    | Guard.Interrupted -> "interrupted"
-    | r -> "budget exhausted: " ^ Guard.reason_to_string r
-  in
-  Format.eprintf "folearn %s: %s at %s (fuel %d, %.3f s, table %d, ball %d)@."
-    cmd what
-    (Guard.checkpoint_to_string checkpoint)
-    spent.Guard.fuel
-    (Int64.to_float spent.Guard.elapsed_ns /. 1e9)
-    spent.Guard.table_rows spent.Guard.ball_peak;
-  (* preserve the final event window when a run dies of exhaustion or a
-     signal (no-op unless --fdr attached the recorder) *)
-  Pulse.Fdr.dump_now
-    ~reason:
-      (match reason with
-      | Guard.Interrupted -> "interrupted"
-      | r -> "guard.exhausted:" ^ Guard.reason_to_string r)
 
 (* crash safety: --checkpoint / --resume on the long-running
    subcommands.  Snapshot cadence rides the Guard tick hook, so an
@@ -434,43 +436,101 @@ let setup_resilience ~cmd ~solver ~run_id ~budget
   (budget, ckpt)
 
 (* Install the /progress sampler: a closure over the run's identity,
-   the Resil frontier/best, the Guard budget and (for learn) the static
-   plan envelope.  The closure runs on the exporter domain, so it only
-   touches mutex- or atomic-guarded state. *)
-let install_progress ~metrics ~run_id ~solver ~sample_size ?fuel_lo ?fuel_hi
-    ?total budget ckpt =
-  if metrics then
-    Pulse.Server.set_progress
-      (Some
-         (fun () ->
-           let fuel_spent, elapsed_ns =
-             match budget with
-             | None -> (None, None)
-             | Some b ->
-                 let s = Guard.Budget.spent b in
-                 (Some s.Guard.fuel, Some s.Guard.elapsed_ns)
-           in
-           Pulse.Progress.to_json
-             {
-               Pulse.Progress.run_id;
-               solver;
-               frontier = Resil.Ctl.frontier ckpt;
-               total;
-               best = Resil.Ctl.best ckpt;
-               sample_size;
-               fuel_spent;
-               elapsed_ns;
-               fuel_lo;
-               fuel_hi;
-             }))
+   the Resil frontier/best, the Guard budget and, for learn, the static
+   plan envelope, so scrapers get fuel_spent / fuel_hi percent-complete
+   without running `folearn plan` themselves.  The closure runs on the
+   exporter domain, so it only touches mutex- or atomic-guarded
+   state. *)
+let install_progress ~run_id ~solver req budget ckpt =
+  let sample_size, fuel_lo, fuel_hi, total =
+    match req with
+    | Serve.Exec.Learn { p; tuples; lam } ->
+        let module Plan = Analysis.Plan in
+        let module Cm = Analysis.Cost_model in
+        let plan =
+          Plan.analyze
+            (Plan.input ~tmax:p.lp_tmax p.lp_g ~k:p.lp_k ~ell:p.lp_ell
+               ~q:p.lp_q tuples)
+            (Serve.Exec.plan_solver p.lp_solver)
+        in
+        let hi (e : Cm.Env.t) = Cm.Count.to_int_opt e.Cm.Env.hi in
+        ( Folearn.Sample.size lam,
+          Cm.Count.to_int_opt plan.Plan.fuel_total.Cm.Env.lo,
+          hi plan.Plan.fuel_total,
+          hi plan.Plan.hypotheses )
+    | Mc _ | Types _ | Game _ -> (0, None, None, None)
+  in
+  Pulse.Server.set_progress
+    (Some
+       (fun () ->
+         let fuel_spent, elapsed_ns =
+           match budget with
+           | None -> (None, None)
+           | Some b ->
+               let s = Guard.Budget.spent b in
+               (Some s.Guard.fuel, Some s.Guard.elapsed_ns)
+         in
+         Pulse.Progress.to_json
+           {
+             Pulse.Progress.run_id;
+             solver;
+             frontier = Resil.Ctl.frontier ckpt;
+             total;
+             best = Resil.Ctl.best ckpt;
+             sample_size;
+             fuel_spent;
+             elapsed_ns;
+             fuel_lo;
+             fuel_hi;
+           }))
 
-(* an interrupted run exits 3 even with nothing salvaged: the operator
-   asked for the stop, and the snapshot (if any) holds the progress *)
-let exhausted_exit reason ~salvaged =
-  if reason = Guard.Interrupted || salvaged then exit_degraded
-  else exit_exhausted
+(* ------------------------------------------------------------------ *)
+(* learn / mc / types / game: one Serve.Exec call per invocation       *)
+(* ------------------------------------------------------------------ *)
 
-let run_id_of parts = Digest.to_hex (Digest.string (String.concat "\n" parts))
+(* the process-level flags of the four ops *)
+type proc_opts = {
+  jobs : int option;
+  budget : budget_opts;
+  ckpt : ckpt_opts;
+  pulse : pulse_opts;
+  obs : obs_opts;
+}
+
+let proc_term =
+  let mk jobs budget ckpt pulse obs = { jobs; budget; ckpt; pulse; obs } in
+  Term.(const mk $ jobs_arg $ budget_term $ ckpt_term $ pulse_term $ obs_term)
+
+let with_process ~cmd proc f =
+  apply_jobs proc.jobs;
+  with_obs ~pulse:proc.pulse proc.obs @@ fun () -> with_pulse ~cmd proc.pulse f
+
+(* Run the request [build] returns as this process: the budget from the
+   flags (started before the request is built, so a --timeout covers
+   labelling), checkpoint/resume, the /progress sampler, then the op on
+   the process streams.  Without checkpointing a live /progress endpoint
+   still tracks the settled frontier, passively: admission prechecks
+   see an un-checkpointed run. *)
+let exec_op ~cmd ~precheck proc build =
+  let budget = budget_for_pulse proc.pulse (budget_of proc.budget) in
+  let req = build () in
+  let run_id = Serve.Exec.run_id req and solver = Serve.Exec.solver_name req in
+  let budget, ckpt =
+    setup_resilience ~cmd ~solver ~run_id ~budget proc.ckpt
+  in
+  let ckpt =
+    if proc.pulse.metrics_addr = None then ckpt
+    else begin
+      let ckpt =
+        if Resil.Ctl.active ckpt then ckpt
+        else Resil.Ctl.observer ~run_id ~solver ()
+      in
+      install_progress ~run_id ~solver req budget ckpt;
+      ckpt
+    end
+  in
+  Serve.Exec.run ~out:Format.std_formatter ~err:Format.err_formatter ?budget
+    ~ckpt ~precheck req
 
 (* ------------------------------------------------------------------ *)
 (* fleet: fault-tolerant multi-process ERM sharding (learn only)       *)
@@ -600,9 +660,291 @@ let fleet_check_solver ~cmd solver =
         "folearn %s: --fleet supports --solver brute and counting only@." cmd;
       exit 2
 
+(* fleet worker: claim/evaluate/publish against --fleet DIR until the
+   coordinator writes DONE.  No stdout, no telemetry, no signal
+   rewiring — the coordinator owns the run's observable surface.
+   Workers rebuild the coordinator's sample from their own flags
+   ([Serve.Exec.prepare] depends on the flags alone). *)
+let run_fleet_worker fleet ~solver ~prepare budget_opts =
+  let dir =
+    match fleet.f_dir with
+    | Some d -> d
+    | None ->
+        Format.eprintf "folearn learn: --worker requires --fleet DIR@.";
+        exit 2
+  in
+  fleet_check_solver ~cmd:"learn" solver;
+  let chaos = fleet_chaos_of ~cmd:"learn" fleet.f_chaos in
+  let ({ Serve.Exec.p; lam; _ } as prep) = prepare () in
+  let g = p.lp_g and k = p.lp_k and ell = p.lp_ell and q = p.lp_q in
+  let eval =
+    match solver with
+    | `Counting ->
+        fun ~lo ~hi ->
+          Folearn.Erm_counting.eval_range g ~k ~ell ~q ~tmax:p.lp_tmax lam ~lo
+            ~hi
+    | `Brute | `Nd | `Local ->
+        fun ~lo ~hi -> Folearn.Erm_brute.eval_range g ~k ~ell ~q lam ~lo ~hi
+  in
+  Fleet.worker
+    {
+      Fleet.w_dir = dir;
+      w_id =
+        (match fleet.f_worker_id with
+        | Some id -> id
+        | None -> Printf.sprintf "w-ext-%d" (Unix.getpid ()));
+      w_run_id = Serve.Exec.run_id (Learn prep);
+      w_solver = Serve.Exec.solver_name (Learn prep);
+      w_parent =
+        Option.bind (Sys.getenv_opt "FOLEARN_FLEET_PARENT") int_of_string_opt;
+      w_chaos = chaos;
+      w_make_budget = (fun () -> budget_of budget_opts);
+      (* chunk results carry only (index, errors): no type ids survive
+         a chunk, so the worker process can drop the intern registries
+         instead of growing them for the whole drain *)
+      w_reclaim =
+        (fun () ->
+          Modelcheck.Types.reset_tables ();
+          Modelcheck.Ctypes.reset_tables ());
+    }
+    ~eval
+
+(* fleet coordinator: shard, supervise, merge; the printed result is
+   byte-identical to the sequential solver's *)
+let run_fleet_coordinator ~dir fleet ~precheck ~solver ~prepare proc =
+  fleet_check_solver ~cmd:"learn" solver;
+  (match (proc.ckpt.ck_path, proc.ckpt.ck_resume) with
+  | None, None -> ()
+  | _ ->
+      Format.eprintf
+        "folearn learn: --fleet and --checkpoint/--resume are mutually \
+         exclusive (the fleet directory is the durable state)@.";
+      exit 2);
+  (match fleet.f_worker_id with
+  | None -> ()
+  | Some _ ->
+      Format.eprintf "folearn learn: --fleet-worker-id requires --worker@.";
+      exit 2);
+  if fleet.f_workers < 0 then begin
+    Format.eprintf "folearn learn: --workers must be >= 0 (got %d)@."
+      fleet.f_workers;
+    exit 2
+  end;
+  if fleet.f_heartbeat <= 0.0 then begin
+    Format.eprintf "folearn learn: --fleet-heartbeat must be positive@.";
+    exit 2
+  end;
+  if fleet.f_max_attempts < 1 then begin
+    Format.eprintf "folearn learn: --fleet-max-attempts must be >= 1@.";
+    exit 2
+  end;
+  (* workers apply the chaos spec; validate it up front anyway so a
+     typo fails the run before any fork *)
+  let (_ : Fleet.chaos list) = fleet_chaos_of ~cmd:"learn" fleet.f_chaos in
+  let ({ Serve.Exec.p; lam; _ } as prep) = prepare () in
+  let out = Format.std_formatter and err = Format.err_formatter in
+  Serve.Exec.report_sample ~out prep;
+  let req = Serve.Exec.Learn prep in
+  let run_id = Serve.Exec.run_id req and solver_name = Serve.Exec.solver_name req in
+  let sample_size = Folearn.Sample.size lam in
+  let total =
+    match Graph.Tuple.count ~n:(Graph.order p.lp_g) ~k:p.lp_ell with
+    | Some t -> t
+    | None ->
+        Format.eprintf
+          "folearn learn: --fleet: the candidate space n^ell does not fit \
+           in an int; nothing to shard@.";
+        exit 2
+  in
+  (* same admission gate the sequential solvers run: a per-chunk
+     budget provably below the first-settle floor is rejected before
+     any worker forks *)
+  (match
+     Folearn.Admission.erm ?budget:(budget_of proc.budget) ~tmax:p.lp_tmax
+       ~enabled:precheck
+       ~what:(match solver with `Counting -> "Erm_counting" | _ -> "Erm_brute")
+       ~solver:(Serve.Exec.plan_solver solver) p.lp_g ~k:p.lp_k ~ell:p.lp_ell
+       ~q:p.lp_q lam
+   with
+  | Some (Guard.Exhausted { reason; checkpoint; spent; _ }) ->
+      Serve.Exec.report_exhausted ~err ~cmd:"learn" ~reason ~checkpoint ~spent;
+      Format.eprintf "folearn learn: no hypothesis salvaged@.";
+      exit (Serve.Exec.exhausted_exit reason ~salvaged:false)
+  | Some (Guard.Complete _) | None -> ());
+  Guard.clear_interrupt ();
+  install_signals ();
+  let mon = Fleet.Monitor.create () in
+  let ctl =
+    if proc.pulse.metrics_addr <> None then
+      Resil.Ctl.observer ~run_id ~solver:solver_name ()
+    else Resil.Ctl.none
+  in
+  (* /progress: the standard frontier document plus a "fleet" member
+     with per-worker liveness, lease churn and quarantine counts *)
+  if proc.pulse.metrics_addr <> None then
+    Pulse.Server.set_progress
+      (Some
+         (fun () ->
+           let base =
+             Pulse.Progress.to_json
+               {
+                 Pulse.Progress.run_id;
+                 solver = solver_name;
+                 frontier = Resil.Ctl.frontier ctl;
+                 total = Some total;
+                 best = Resil.Ctl.best ctl;
+                 sample_size;
+                 fuel_spent = None;
+                 elapsed_ns = None;
+                 fuel_lo = None;
+                 fuel_hi = None;
+               }
+           in
+           match base with
+           | Obs.Json.Obj kvs ->
+               Obs.Json.Obj (kvs @ [ ("fleet", Fleet.Monitor.to_json mon) ])
+           | j -> j));
+  let chunk_size =
+    match fleet.f_chunk with
+    | Some c when c >= 1 -> c
+    | Some c ->
+        Format.eprintf "folearn learn: --fleet-chunk must be >= 1 (got %d)@."
+          c;
+        exit 2
+    | None ->
+        let by_workers = max 1 (total / (8 * max 1 fleet.f_workers)) in
+        let min_for_cap = (total + 4095) / 4096 in
+        max by_workers min_for_cap
+  in
+  Unix.putenv "FOLEARN_FLEET_PARENT" (string_of_int (Unix.getpid ()));
+  let spawn i =
+    Unix.create_process Sys.executable_name
+      (Array.append Sys.argv
+         [| "--worker"; "--fleet-worker-id"; "w" ^ string_of_int i |])
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  let cfg =
+    {
+      Fleet.c_dir = dir;
+      c_run_id = run_id;
+      c_solver = solver_name;
+      c_total = total;
+      c_chunk_size = chunk_size;
+      c_heartbeat_s = fleet.f_heartbeat;
+      c_max_attempts = fleet.f_max_attempts;
+      c_sample_size = sample_size;
+      c_workers = fleet.f_workers;
+      c_spawn = spawn;
+      c_backoff_base_s = Fleet.default_backoff_base_s;
+      c_backoff_cap_s = Fleet.default_backoff_cap_s;
+    }
+  in
+  match Fleet.coordinate ~monitor:mon ~ctl cfg with
+  | Error msg ->
+      Format.eprintf "folearn learn: --fleet: %s@." msg;
+      2
+  | Ok res ->
+      (* the winning hypothesis is recovered by re-evaluating the
+         lex-min index with a fresh context — the same mechanism a
+         full-skip checkpoint resume uses, so the output bytes match
+         the sequential run *)
+      let print_winner ~params_tried =
+        Serve.Exec.print_sweep_winner ~out prep ~params_tried
+          (Option.map fst res.Fleet.best)
+      in
+      let best_so_far () =
+        Format.printf "best-so-far hypothesis (no optimality certificate):@.";
+        print_winner ~params_tried:res.Fleet.settled
+      in
+      if res.Fleet.interrupted then begin
+        Format.eprintf
+          "folearn learn: interrupted; fleet directory %s holds the settled \
+           frontier (%d of %d candidates)@."
+          dir res.Fleet.settled total;
+        Pulse.Fdr.dump_now ~reason:"interrupted";
+        (match res.Fleet.best with
+        | Some _ -> best_so_far ()
+        | None -> Format.eprintf "folearn learn: no hypothesis salvaged@.");
+        Serve.Exec.exit_degraded
+      end
+      else if res.Fleet.quarantined <> [] then begin
+        Format.eprintf
+          "folearn learn: fleet quarantined %d chunk(s) after repeated \
+           failures:@."
+          (List.length res.Fleet.quarantined);
+        List.iter
+          (fun qc ->
+            Format.eprintf "  chunk %d [%d,%d): %d attempts, last error: %s@."
+              qc.Fleet.q_chunk qc.Fleet.q_lo qc.Fleet.q_hi qc.Fleet.q_attempts
+              qc.Fleet.q_error)
+          res.Fleet.quarantined;
+        match res.Fleet.best with
+        | Some _ ->
+            best_so_far ();
+            Serve.Exec.exit_degraded
+        | None ->
+            Format.eprintf "folearn learn: no hypothesis salvaged@.";
+            Serve.Exec.exit_exhausted
+      end
+      else begin
+        print_winner ~params_tried:total;
+        0
+      end
+
 (* ------------------------------------------------------------------ *)
 (* learn                                                               *)
 (* ------------------------------------------------------------------ *)
+
+(* the run-shaping flags `learn` and `plan` share *)
+type learn_flags = {
+  lf_k : int;
+  lf_ell : int;
+  lf_q : int;
+  lf_solver : Serve.Exec.solver;
+  lf_tmax : int;
+  lf_m : int;
+  lf_seed : int;
+}
+
+let learn_flags_term =
+  let k_arg = Arg.(value & opt int 1 & info [ "k" ] ~doc:"Arity of examples.") in
+  let ell_arg =
+    Arg.(value & opt int 0 & info [ "l"; "ell" ] ~doc:"Parameter budget.")
+  in
+  let q_arg =
+    Arg.(value & opt int 1 & info [ "q" ] ~doc:"Quantifier-rank budget.")
+  in
+  let solver_arg =
+    Arg.(
+      value
+      & opt (enum Serve.Exec.solvers) `Brute
+      & info [ "solver" ]
+          ~doc:
+            "ERM solver: $(b,brute) (Prop 11, exact), $(b,nd) (Theorem 13, \
+             nowhere dense), $(b,counting) (FOC extension), or $(b,local) \
+             (sublinear local access; with budget flags it runs the \
+             degradation chain).  $(b,plan) analyzes all four and \
+             predicts the selected one.")
+  in
+  let tmax_arg =
+    Arg.(
+      value & opt int 2
+      & info [ "tmax" ]
+          ~doc:"Counting-threshold cap for $(b,--solver counting).")
+  in
+  let m_arg =
+    Arg.(
+      value & opt int 0
+      & info [ "m" ]
+          ~doc:"Sample size (0 = label every tuple of the graph).")
+  in
+  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
+  let mk lf_k lf_ell lf_q lf_solver lf_tmax lf_m lf_seed =
+    { lf_k; lf_ell; lf_q; lf_solver; lf_tmax; lf_m; lf_seed }
+  in
+  Term.(
+    const mk $ k_arg $ ell_arg $ q_arg $ solver_arg $ tmax_arg $ m_arg
+    $ seed_arg)
 
 let learn_cmd =
   let target_arg =
@@ -614,585 +956,48 @@ let learn_cmd =
             "Hidden target query over x1..xk (used only to label the \
              training data).")
   in
-  let k_arg = Arg.(value & opt int 1 & info [ "k" ] ~doc:"Arity of examples.") in
-  let ell_arg =
-    Arg.(value & opt int 0 & info [ "l"; "ell" ] ~doc:"Parameter budget.")
-  in
-  let q_arg =
-    Arg.(value & opt int 1 & info [ "q" ] ~doc:"Quantifier-rank budget.")
-  in
-  let solver_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("brute", `Brute); ("nd", `Nd); ("counting", `Counting);
-               ("local", `Local);
-             ])
-          `Brute
-      & info [ "solver" ]
-          ~doc:
-            "ERM solver: $(b,brute) (Prop 11, exact), $(b,nd) (Theorem 13, \
-             nowhere dense), $(b,counting) (FOC extension), or $(b,local) \
-             (sublinear local access).")
-  in
-  let tmax_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "tmax" ]
-          ~doc:"Counting-threshold cap for $(b,--solver counting).")
-  in
   let noise_arg =
     Arg.(value & opt float 0.0 & info [ "noise" ] ~doc:"Label-flip probability.")
   in
-  let m_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "m" ]
-          ~doc:"Sample size (0 = label every tuple of the graph).")
-  in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
-  (* shared by the solo path, the fleet coordinator and fleet workers:
-     parse/validate the target, colour the graph, fix the run identity
-     and label the training sequence.  Workers must rebuild exactly
-     this state from their own flags, so it only depends on the
-     arguments — never on ambient process state. *)
-  let learn_prep g colors target k ell q solver tmax noise m seed =
-    let target = parse_formula_or_exit ~cmd:"learn" ~flag:"--target" target in
-    let g = with_cli_colors g colors in
-    let solver_name =
-      match solver with
-      | `Brute -> "brute"
-      | `Nd -> "nd"
-      | `Counting -> "counting"
-      | `Local -> "local"
+  let run g colors target noise f no_precheck fleet proc =
+    (* the solo path, the fleet coordinator and fleet workers all
+       build the same sample from the flags alone *)
+    let prepare () =
+      or_usage
+        (Serve.Exec.prepare
+           {
+             Serve.Exec.lp_g = Graph.with_colors g colors;
+             lp_target =
+               parse_formula_or_exit ~cmd:"learn" ~flag:"--target" target;
+             lp_k = f.lf_k;
+             lp_ell = f.lf_ell;
+             lp_q = f.lf_q;
+             lp_solver = f.lf_solver;
+             lp_tmax = f.lf_tmax;
+             lp_noise = noise;
+             lp_m = f.lf_m;
+             lp_seed = f.lf_seed;
+           })
     in
-    let run_id =
-      run_id_of
-        [
-          "learn"; Io.to_string g;
-          Fo.Formula.to_string target;
-          string_of_int k; string_of_int ell; string_of_int q; solver_name;
-          string_of_int tmax; string_of_float noise; string_of_int m;
-          string_of_int seed;
-        ]
-    in
-    let module Sam = Folearn.Sample in
-    let xvars = Folearn.Hypothesis.xvars k in
-    (match
-       Analysis.Diagnostic.errors
-         (Analysis.Fo_check.check
-            ~vocab:(Analysis.Vocab.of_graph g)
-            ~allowed_free:xvars target)
-     with
-    | [] -> ()
-    | errs ->
-        Format.eprintf
-          "folearn learn: the target must be a query over x1..x%d in the \
-           graph's vocabulary:@.%s@."
-          k
-          (Analysis.Diagnostic.render_list errs);
-        exit 2);
-    let tuples =
-      if m = 0 then Sam.all_tuples g ~k else Sam.random_tuples ~seed g ~k ~m
-    in
-    let lam =
-      Sam.label_with_query g ~formula:target ~xvars tuples
-      |> fun l -> if noise > 0.0 then Sam.flip_noise ~seed ~p:noise l else l
-    in
-    (g, solver_name, run_id, tuples, lam)
-  in
-  (* fleet worker: claim/evaluate/publish against --fleet DIR until the
-     coordinator writes DONE.  No stdout, no telemetry, no signal
-     rewiring — the coordinator owns the run's observable surface. *)
-  let run_fleet_worker fleet g colors target k ell q solver tmax noise m seed
-      fuel timeout max_table max_ball =
-    let dir =
-      match fleet.f_dir with
-      | Some d -> d
-      | None ->
-          Format.eprintf "folearn learn: --worker requires --fleet DIR@.";
-          exit 2
-    in
-    fleet_check_solver ~cmd:"learn" solver;
-    let chaos = fleet_chaos_of ~cmd:"learn" fleet.f_chaos in
-    let g, solver_name, run_id, _tuples, lam =
-      learn_prep g colors target k ell q solver tmax noise m seed
-    in
-    let eval =
-      match solver with
-      | `Brute ->
-          fun ~lo ~hi -> Folearn.Erm_brute.eval_range g ~k ~ell ~q lam ~lo ~hi
-      | `Counting ->
-          fun ~lo ~hi ->
-            Folearn.Erm_counting.eval_range g ~k ~ell ~q ~tmax lam ~lo ~hi
-      | _ -> assert false
-    in
-    Fleet.worker
-      {
-        Fleet.w_dir = dir;
-        w_id =
-          (match fleet.f_worker_id with
-          | Some id -> id
-          | None -> Printf.sprintf "w-ext-%d" (Unix.getpid ()));
-        w_run_id = run_id;
-        w_solver = solver_name;
-        w_parent =
-          Option.bind
-            (Sys.getenv_opt "FOLEARN_FLEET_PARENT")
-            int_of_string_opt;
-        w_chaos = chaos;
-        w_make_budget =
-          (fun () -> budget_of ~fuel ~timeout ~max_table ~max_ball);
-        (* chunk results carry only (index, errors): no type ids
-           survive a chunk, so the worker process can drop the intern
-           registries instead of growing them for the whole drain *)
-        w_reclaim =
-          (fun () ->
-            Modelcheck.Types.reset_tables ();
-            Modelcheck.Ctypes.reset_tables ());
-      }
-      ~eval
-  in
-  (* fleet coordinator: shard, supervise, merge; the printed result is
-     byte-identical to the sequential solver's *)
-  let run_fleet_coordinator ~dir fleet ~precheck g colors target k ell q
-      solver tmax noise m seed fuel timeout max_table max_ball ckpt_opts pulse
-      =
-    fleet_check_solver ~cmd:"learn" solver;
-    (match (ckpt_opts.ck_path, ckpt_opts.ck_resume) with
-    | None, None -> ()
-    | _ ->
-        Format.eprintf
-          "folearn learn: --fleet and --checkpoint/--resume are mutually \
-           exclusive (the fleet directory is the durable state)@.";
-        exit 2);
-    (match fleet.f_worker_id with
-    | None -> ()
-    | Some _ ->
-        Format.eprintf "folearn learn: --fleet-worker-id requires --worker@.";
-        exit 2);
-    if fleet.f_workers < 0 then begin
-      Format.eprintf "folearn learn: --workers must be >= 0 (got %d)@."
-        fleet.f_workers;
-      exit 2
-    end;
-    if fleet.f_heartbeat <= 0.0 then begin
-      Format.eprintf "folearn learn: --fleet-heartbeat must be positive@.";
-      exit 2
-    end;
-    if fleet.f_max_attempts < 1 then begin
-      Format.eprintf "folearn learn: --fleet-max-attempts must be >= 1@.";
-      exit 2
-    end;
-    (* workers apply the chaos spec; validate it up front anyway so a
-       typo fails the run before any fork *)
-    let (_ : Fleet.chaos list) = fleet_chaos_of ~cmd:"learn" fleet.f_chaos in
-    let g, solver_name, run_id, _tuples, lam =
-      learn_prep g colors target k ell q solver tmax noise m seed
-    in
-    let module Sam = Folearn.Sample in
-    Format.printf "training sequence: %d examples (%d positive)@."
-      (Sam.size lam)
-      (List.length (Sam.positives lam));
-    let n = Graph.order g in
-    let total =
-      match Graph.Tuple.count ~n ~k:ell with
-      | Some t -> t
-      | None ->
-          Format.eprintf
-            "folearn learn: --fleet: the candidate space n^ell does not fit \
-             in an int; nothing to shard@.";
-          exit 2
-    in
-    let user_budget = budget_of ~fuel ~timeout ~max_table ~max_ball in
-    let what, plan_solver =
-      match solver with
-      | `Brute -> ("Erm_brute", Analysis.Plan.Brute)
-      | `Counting -> ("Erm_counting", Analysis.Plan.Counting)
-      | _ -> assert false
-    in
-    (* same admission gate the sequential solvers run: a per-chunk
-       budget provably below the first-settle floor is rejected before
-       any worker forks *)
-    (match
-       Folearn.Admission.erm ?budget:user_budget ~tmax ~enabled:precheck ~what
-         ~solver:plan_solver g ~k ~ell ~q lam
-     with
-    | Some (Guard.Exhausted { reason; checkpoint; spent; _ }) ->
-        report_exhausted ~cmd:"learn" ~reason ~checkpoint ~spent;
-        Format.eprintf "folearn learn: no hypothesis salvaged@.";
-        exit (exhausted_exit reason ~salvaged:false)
-    | Some (Guard.Complete _) | None -> ());
-    Guard.clear_interrupt ();
-    install_signals ();
-    let mon = Fleet.Monitor.create () in
-    let ctl =
-      if pulse.metrics_addr <> None then
-        Resil.Ctl.observer ~run_id ~solver:solver_name ()
-      else Resil.Ctl.none
-    in
-    (* /progress: the standard frontier document plus a "fleet" member
-       with per-worker liveness, lease churn and quarantine counts *)
-    if pulse.metrics_addr <> None then
-      Pulse.Server.set_progress
-        (Some
-           (fun () ->
-             let base =
-               Pulse.Progress.to_json
-                 {
-                   Pulse.Progress.run_id;
-                   solver = solver_name;
-                   frontier = Resil.Ctl.frontier ctl;
-                   total = Some total;
-                   best = Resil.Ctl.best ctl;
-                   sample_size = Sam.size lam;
-                   fuel_spent = None;
-                   elapsed_ns = None;
-                   fuel_lo = None;
-                   fuel_hi = None;
-                 }
-             in
-             match base with
-             | Obs.Json.Obj kvs ->
-                 Obs.Json.Obj
-                   (kvs @ [ ("fleet", Fleet.Monitor.to_json mon) ])
-             | j -> j));
-    let chunk_size =
-      match fleet.f_chunk with
-      | Some c when c >= 1 -> c
-      | Some c ->
-          Format.eprintf "folearn learn: --fleet-chunk must be >= 1 (got %d)@."
-            c;
-          exit 2
-      | None ->
-          let by_workers = max 1 (total / (8 * max 1 fleet.f_workers)) in
-          let min_for_cap = (total + 4095) / 4096 in
-          max by_workers min_for_cap
-    in
-    Unix.putenv "FOLEARN_FLEET_PARENT" (string_of_int (Unix.getpid ()));
-    let spawn i =
-      Unix.create_process Sys.executable_name
-        (Array.append Sys.argv
-           [| "--worker"; "--fleet-worker-id"; "w" ^ string_of_int i |])
-        Unix.stdin Unix.stdout Unix.stderr
-    in
-    let cfg =
-      {
-        Fleet.c_dir = dir;
-        c_run_id = run_id;
-        c_solver = solver_name;
-        c_total = total;
-        c_chunk_size = chunk_size;
-        c_heartbeat_s = fleet.f_heartbeat;
-        c_max_attempts = fleet.f_max_attempts;
-        c_sample_size = Sam.size lam;
-        c_workers = fleet.f_workers;
-        c_spawn = spawn;
-        c_backoff_base_s = Fleet.default_backoff_base_s;
-        c_backoff_cap_s = Fleet.default_backoff_cap_s;
-      }
-    in
-    match Fleet.coordinate ~monitor:mon ~ctl cfg with
-    | Error msg ->
-        Format.eprintf "folearn learn: --fleet: %s@." msg;
-        2
-    | Ok out ->
-        (* the winning hypothesis is recovered by re-evaluating the
-           lex-min index with a fresh context — the same mechanism a
-           full-skip checkpoint resume uses, so the output bytes match
-           the sequential run *)
-        let print_winner ~params_tried =
-          (match solver with
-          | `Brute ->
-              Format.printf
-                "solver: Prop 11 exact ERM (tried %d parameter tuples)@."
-                params_tried
-          | `Counting ->
-              Format.printf
-                "solver: exact counting ERM (FOC, thresholds <= %d; tried %d \
-                 parameter tuples)@."
-                tmax params_tried
-          | _ -> assert false);
-          match out.Fleet.best with
-          | Some (i, _) ->
-              let params = Graph.Tuple.of_index ~n ~k:ell i in
-              let err, hyp =
-                match solver with
-                | `Brute ->
-                    let r =
-                      Folearn.Erm_brute.solve_for_params g ~k ~q ~params lam
-                    in
-                    (r.Folearn.Erm_brute.err, r.Folearn.Erm_brute.hypothesis)
-                | `Counting ->
-                    let r =
-                      Folearn.Erm_counting.solve_for_params g ~k ~q ~tmax
-                        ~params lam
-                    in
-                    ( r.Folearn.Erm_counting.err,
-                      r.Folearn.Erm_counting.hypothesis )
-                | _ -> assert false
-              in
-              Format.printf "training error: %.4f@." err;
-              Format.printf "%a@." Folearn.Hypothesis.pp hyp
-          | None ->
-              Format.printf "training error: %.4f@."
-                (Sam.error_of (fun _ -> false) lam);
-              Format.printf "%a@." Folearn.Hypothesis.pp
-                (Folearn.Hypothesis.constantly g ~k false)
-        in
-        if out.Fleet.interrupted then begin
-          Format.eprintf
-            "folearn learn: interrupted; fleet directory %s holds the \
-             settled frontier (%d of %d candidates)@."
-            dir out.Fleet.settled total;
-          Pulse.Fdr.dump_now ~reason:"interrupted";
-          (match out.Fleet.best with
-          | Some _ ->
-              Format.printf
-                "best-so-far hypothesis (no optimality certificate):@.";
-              print_winner ~params_tried:out.Fleet.settled
-          | None -> Format.eprintf "folearn learn: no hypothesis salvaged@.");
-          exit_degraded
-        end
-        else if out.Fleet.quarantined <> [] then begin
-          Format.eprintf
-            "folearn learn: fleet quarantined %d chunk(s) after repeated \
-             failures:@."
-            (List.length out.Fleet.quarantined);
-          List.iter
-            (fun qc ->
-              Format.eprintf
-                "  chunk %d [%d,%d): %d attempts, last error: %s@."
-                qc.Fleet.q_chunk qc.Fleet.q_lo qc.Fleet.q_hi qc.Fleet.q_attempts
-                qc.Fleet.q_error)
-            out.Fleet.quarantined;
-          match out.Fleet.best with
-          | Some _ ->
-              Format.printf
-                "best-so-far hypothesis (no optimality certificate):@.";
-              print_winner ~params_tried:out.Fleet.settled;
-              exit_degraded
-          | None ->
-              Format.eprintf "folearn learn: no hypothesis salvaged@.";
-              exit_exhausted
-        end
-        else begin
-          print_winner ~params_tried:total;
-          0
-        end
-  in
-  let run g colors target k ell q solver tmax noise m seed fuel timeout
-      max_table max_ball no_precheck jobs fleet_opts ckpt_opts pulse trace
-      stats stats_json =
-    apply_jobs jobs;
-    let precheck = not no_precheck in
-    if fleet_opts.f_worker then
-      run_fleet_worker fleet_opts g colors target k ell q solver tmax noise m
-        seed fuel timeout max_table max_ball
+    let precheck = not no_precheck and solver = f.lf_solver in
+    if fleet.f_worker then begin
+      apply_jobs proc.jobs;
+      run_fleet_worker fleet ~solver ~prepare proc.budget
+    end
     else
-      match fleet_opts.f_dir with
+      with_process ~cmd:"learn" proc @@ fun () ->
+      match fleet.f_dir with
       | Some dir ->
-          with_obs ~pulse ~trace ~stats ~stats_json @@ fun () ->
-          with_pulse ~cmd:"learn" pulse @@ fun () ->
-          run_fleet_coordinator ~dir fleet_opts ~precheck g colors target k
-            ell q solver tmax noise m seed fuel timeout max_table max_ball
-            ckpt_opts pulse
+          run_fleet_coordinator ~dir fleet ~precheck ~solver ~prepare proc
       | None ->
-    with_obs ~pulse ~trace ~stats ~stats_json @@ fun () ->
-    with_pulse ~cmd:"learn" pulse @@ fun () ->
-    let user_budget = budget_of ~fuel ~timeout ~max_table ~max_ball in
-    let budget = budget_for_pulse pulse user_budget in
-    let g, solver_name, run_id, tuples, lam =
-      learn_prep g colors target k ell q solver tmax noise m seed
-    in
-    let budget, ckpt =
-      setup_resilience ~cmd:"learn" ~solver:solver_name ~run_id ~budget
-        ckpt_opts
-    in
-    (* no checkpointing asked for, but a live /progress endpoint wants
-       the settled frontier: track it passively (admission prechecks
-       still see an un-checkpointed run) *)
-    let ckpt =
-      if pulse.metrics_addr <> None && not (Resil.Ctl.active ckpt) then
-        Resil.Ctl.observer ~run_id ~solver:solver_name ()
-      else ckpt
-    in
-    let module Sam = Folearn.Sample in
-    Format.printf "training sequence: %d examples (%d positive)@."
-      (Sam.size lam)
-      (List.length (Sam.positives lam));
-    (* /progress marries the live frontier with the static plan
-       envelope, so scrapers get fuel_spent / fuel_hi percent-complete
-       without running `folearn plan` themselves *)
-    (if pulse.metrics_addr <> None then
-       let module Plan = Analysis.Plan in
-       let module Cm = Analysis.Cost_model in
-       let psolver =
-         match solver with
-         | `Brute -> Plan.Brute
-         | `Nd -> Plan.Nd
-         | `Counting -> Plan.Counting
-         | `Local -> Plan.Local
-       in
-       let plan = Plan.analyze (Plan.input ~tmax g ~k ~ell ~q tuples) psolver in
-       let env_lo (e : Cm.Env.t) = Cm.Count.to_int_opt e.Cm.Env.lo in
-       let env_hi (e : Cm.Env.t) = Cm.Count.to_int_opt e.Cm.Env.hi in
-       install_progress ~metrics:true ~run_id ~solver:solver_name
-         ~sample_size:(Sam.size lam)
-         ?fuel_lo:(env_lo plan.Plan.fuel_total)
-         ?fuel_hi:(env_hi plan.Plan.fuel_total)
-         ?total:(env_hi plan.Plan.hypotheses)
-         budget ckpt);
-    (* one outcome handler for every solver: 0 on a complete run, 3
-       when only a best-so-far hypothesis (with its true empirical
-       error, but no min-error certificate) survived, 4 when nothing
-       did *)
-    let conclude outcome print =
-      match outcome with
-      | Guard.Complete r ->
-          Resil.Ctl.flush ~complete:true ckpt;
-          print r;
-          0
-      | Guard.Exhausted { best_so_far = Some r; reason; checkpoint; spent } ->
-          Resil.Ctl.flush ckpt;
-          report_exhausted ~cmd:"learn" ~reason ~checkpoint ~spent;
-          Format.printf "best-so-far hypothesis (no optimality certificate):@.";
-          print r;
-          exhausted_exit reason ~salvaged:true
-      | Guard.Exhausted { best_so_far = None; reason; checkpoint; spent } ->
-          Resil.Ctl.flush ckpt;
-          report_exhausted ~cmd:"learn" ~reason ~checkpoint ~spent;
-          Format.eprintf "folearn learn: no hypothesis salvaged@.";
-          exhausted_exit reason ~salvaged:false
-    in
-    match solver with
-    | `Brute ->
-        conclude
-          (Folearn.Erm_brute.solve_budgeted ?budget ~precheck ~ckpt g ~k ~ell
-             ~q lam)
-          (fun (r : Folearn.Erm_brute.result) ->
-            Format.printf
-              "solver: Prop 11 exact ERM (tried %d parameter tuples)@."
-              r.Folearn.Erm_brute.params_tried;
-            Format.printf "training error: %.4f@." r.Folearn.Erm_brute.err;
-            Format.printf "%a@." Folearn.Hypothesis.pp
-              r.Folearn.Erm_brute.hypothesis)
-    | `Nd ->
-        let cls = Splitter.Nowhere_dense.of_graph "cli" g in
-        let cfg =
-          Folearn.Erm_nd.default_config ~radius:1 ~k ~ell_star:(max 1 ell)
-            ~q_star:q cls
-        in
-        conclude
-          (Folearn.Erm_nd.solve_budgeted ?budget ~precheck ~ckpt cfg g lam)
-          (fun (rep : Folearn.Erm_nd.report) ->
-            Format.printf
-              "solver: Theorem 13 (rounds %d, branches %d, ell used %d, rank \
-               %d)@."
-              (List.length rep.Folearn.Erm_nd.rounds)
-              rep.Folearn.Erm_nd.branches_explored rep.Folearn.Erm_nd.ell_used
-              rep.Folearn.Erm_nd.q_used;
-            Format.printf "training error: %.4f@." rep.Folearn.Erm_nd.err;
-            Format.printf "parameters: %a@." Graph.Tuple.pp
-              (Folearn.Hypothesis.params rep.Folearn.Erm_nd.hypothesis))
-    | `Counting ->
-        conclude
-          (Folearn.Erm_counting.solve_budgeted ?budget ~precheck ~ckpt g ~k
-             ~ell ~q ~tmax lam)
-          (fun (r : Folearn.Erm_counting.result) ->
-            Format.printf
-              "solver: exact counting ERM (FOC, thresholds <= %d; tried %d \
-               parameter tuples)@."
-              tmax r.Folearn.Erm_counting.params_tried;
-            Format.printf "training error: %.4f@." r.Folearn.Erm_counting.err;
-            Format.printf "%a@." Folearn.Hypothesis.pp
-              r.Folearn.Erm_counting.hypothesis)
-    | `Local -> (
-        match budget with
-        | None ->
-            let r = Folearn.Erm_local.solve g ~k ~ell ~q lam in
-            Format.printf
-              "solver: sublinear local learner (pool %d, touched %d of %d \
-               vertices)@."
-              r.Folearn.Erm_local.pool_size r.Folearn.Erm_local.vertices_touched
-              (Graph.order g);
-            Format.printf "training error: %.4f@." r.Folearn.Erm_local.err;
-            Format.printf "parameters: %a@." Graph.Tuple.pp
-              (Folearn.Hypothesis.params r.Folearn.Erm_local.hypothesis);
-            0
-        | Some _ when Resil.Ctl.active ckpt || user_budget = None ->
-            (* a checkpointed local run must resume bit-identically,
-               so it bypasses the degradation chain (whose stage
-               hand-offs have no stable candidate numbering) and runs
-               the local solver directly under the budget; likewise a
-               run whose only budget is the synthetic unlimited one
-               --metrics-addr installs (nothing to degrade under) *)
-            conclude
-              (Folearn.Erm_local.solve_budgeted ?budget ~precheck ~ckpt g ~k
-                 ~ell ~q lam)
-              (fun (r : Folearn.Erm_local.result) ->
-                Format.printf
-                  "solver: sublinear local learner (pool %d, touched %d of \
-                   %d vertices)@."
-                  r.Folearn.Erm_local.pool_size
-                  r.Folearn.Erm_local.vertices_touched (Graph.order g);
-                Format.printf "training error: %.4f@."
-                  r.Folearn.Erm_local.err;
-                Format.printf "parameters: %a@." Graph.Tuple.pp
-                  (Folearn.Hypothesis.params r.Folearn.Erm_local.hypothesis))
-        | Some _ ->
-            (* budgeted local runs go through the degradation chain:
-               local at rank q, then exact brute-force ERM at ranks
-               q-1, ..., 0, all racing one wall-clock deadline *)
-            let print (l : Folearn.Degrade.learned) =
-              List.iter
-                (fun (a : Folearn.Degrade.attempt) ->
-                  Format.eprintf
-                    "folearn learn: stage %s at rank %d exhausted (%s at %s)@."
-                    a.Folearn.Degrade.solver a.Folearn.Degrade.q
-                    (Guard.reason_to_string a.Folearn.Degrade.reason)
-                    (Guard.checkpoint_to_string a.Folearn.Degrade.checkpoint))
-                l.Folearn.Degrade.attempts;
-              Format.printf "solver: %s ERM at rank %d%s@."
-                (match l.Folearn.Degrade.solver with
-                | "local" -> "sublinear local"
-                | s -> "fallback " ^ s)
-                l.Folearn.Degrade.q_used
-                (if l.Folearn.Degrade.degraded then " (degraded)" else "");
-              Format.printf "training error: %.4f@." l.Folearn.Degrade.err;
-              Format.printf "parameters: %a@." Graph.Tuple.pp
-                (Folearn.Hypothesis.params l.Folearn.Degrade.hypothesis)
-            in
-            match Folearn.Degrade.learn ?budget ~precheck g ~k ~ell ~q lam with
-            | Guard.Complete l ->
-                print l;
-                if l.Folearn.Degrade.degraded then exit_degraded else 0
-            | Guard.Exhausted
-                { best_so_far = Some l; reason; checkpoint; spent } ->
-                report_exhausted ~cmd:"learn" ~reason ~checkpoint ~spent;
-                Format.printf
-                  "best-so-far hypothesis (no optimality certificate):@.";
-                print l;
-                exhausted_exit reason ~salvaged:true
-            | Guard.Exhausted { best_so_far = None; reason; checkpoint; spent }
-              ->
-                report_exhausted ~cmd:"learn" ~reason ~checkpoint ~spent;
-                Format.eprintf "folearn learn: no hypothesis salvaged@.";
-                exhausted_exit reason ~salvaged:false)
-  in
-  let term =
-    Term.(
-      const run $ graph_arg $ colors_arg $ target_arg $ k_arg $ ell_arg $ q_arg
-      $ solver_arg $ tmax_arg $ noise_arg $ m_arg $ seed_arg $ fuel_arg
-      $ timeout_arg $ max_table_arg $ max_ball_arg $ no_precheck_arg
-      $ jobs_arg $ fleet_term $ ckpt_term $ pulse_term $ trace_arg $ stats_arg
-      $ stats_json_arg)
+          exec_op ~cmd:"learn" ~precheck proc (fun () ->
+              Serve.Exec.Learn (prepare ()))
   in
   Cmd.v
     (Cmd.info "learn" ~doc:"Learn a first-order query from labelled examples.")
-    term
+    Term.(
+      const run $ graph_arg $ colors_arg $ target_arg $ noise_arg
+      $ learn_flags_term $ no_precheck_arg $ fleet_term $ proc_term)
 
 (* ------------------------------------------------------------------ *)
 (* plan                                                                *)
@@ -1219,43 +1024,6 @@ let plan_cmd =
              the cost plan itself depends only on the example tuples, \
              never on the labels.")
   in
-  let k_arg = Arg.(value & opt int 1 & info [ "k" ] ~doc:"Arity of examples.") in
-  let ell_arg =
-    Arg.(value & opt int 0 & info [ "l"; "ell" ] ~doc:"Parameter budget.")
-  in
-  let q_arg =
-    Arg.(value & opt int 1 & info [ "q" ] ~doc:"Quantifier-rank budget.")
-  in
-  let solver_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("brute", `Brute); ("nd", `Nd); ("counting", `Counting);
-               ("local", `Local);
-             ])
-          `Brute
-      & info [ "solver" ]
-          ~doc:
-            "Solver whose run the top-level prediction covers (all four \
-             are always analyzed).  $(b,local) with budget flags is \
-             predicted through the degradation chain, exactly as \
-             $(b,learn) executes it.")
-  in
-  let tmax_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "tmax" ]
-          ~doc:"Counting-threshold cap for $(b,--solver counting).")
-  in
-  let m_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "m" ]
-          ~doc:"Sample size (0 = label every tuple of the graph).")
-  in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
   let format_arg =
     Arg.(
       value
@@ -1274,47 +1042,26 @@ let plan_cmd =
              the selected solver (the admission precheck would reject \
              the run).")
   in
-  let run g colors target k ell q solver tmax m seed fuel timeout max_table
-      max_ball format strict =
-    let g = with_cli_colors g colors in
-    (match target with
-    | None -> ()
-    | Some t -> (
-        let t = parse_formula_or_exit ~cmd:"plan" ~flag:"--target" t in
-        let xvars = Folearn.Hypothesis.xvars k in
-        match
-          Analysis.Diagnostic.errors
-            (Analysis.Fo_check.check
-               ~vocab:(Analysis.Vocab.of_graph g)
-               ~allowed_free:xvars t)
-        with
-        | [] -> ()
-        | errs ->
-            Format.eprintf
-              "folearn plan: the target must be a query over x1..x%d in \
-               the graph's vocabulary:@.%s@."
-              k
-              (Analysis.Diagnostic.render_list errs);
-            exit 2));
-    let module Sam = Folearn.Sample in
+  let run g colors target f ({ fuel; timeout; max_table; max_ball } as b)
+      format strict =
+    let g = Graph.with_colors g colors in
+    let k = f.lf_k and ell = f.lf_ell and q = f.lf_q and tmax = f.lf_tmax in
+    Option.iter
+      (fun t ->
+        or_usage
+          (Serve.Exec.check_target ~cmd:"plan" g ~k
+             (parse_formula_or_exit ~cmd:"plan" ~flag:"--target" t)))
+      target;
     let tuples =
-      if m = 0 then Sam.all_tuples g ~k else Sam.random_tuples ~seed g ~k ~m
+      Serve.Exec.sample_tuples g ~k ~m:f.lf_m ~seed:f.lf_seed
     in
     let inp = Plan.input ~tmax g ~k ~ell ~q tuples in
     let solvers = [ Plan.Brute; Plan.Local; Plan.Nd; Plan.Counting ] in
     let plans = List.map (Plan.analyze inp) solvers in
     let chain = Plan.degrade_stages inp in
     let limits = Plan.limits ?fuel ?timeout_s:timeout ?max_table ?max_ball () in
-    let has_limits =
-      fuel <> None || timeout <> None || max_table <> None || max_ball <> None
-    in
-    let selected =
-      match solver with
-      | `Brute -> Plan.Brute
-      | `Nd -> Plan.Nd
-      | `Counting -> Plan.Counting
-      | `Local -> Plan.Local
-    in
+    let has_limits = has_limits b in
+    let selected = Serve.Exec.plan_solver f.lf_solver in
     let selected_plan = Plan.analyze inp selected in
     (* the budgeted local path of `learn` runs the degradation chain,
        so its prediction and admission must use chain semantics *)
@@ -1418,9 +1165,8 @@ let plan_cmd =
          "Static cost analysis: predict the spend, exit code and best \
           solver of a $(b,learn) run without executing it.")
     Term.(
-      const run $ graph_arg $ colors_arg $ target_arg $ k_arg $ ell_arg
-      $ q_arg $ solver_arg $ tmax_arg $ m_arg $ seed_arg $ fuel_arg
-      $ timeout_arg $ max_table_arg $ max_ball_arg $ format_arg $ strict_arg)
+      const run $ graph_arg $ colors_arg $ target_arg $ learn_flags_term
+      $ budget_term $ format_arg $ strict_arg)
 
 (* ------------------------------------------------------------------ *)
 (* mc                                                                  *)
@@ -1439,84 +1185,20 @@ let mc_cmd =
       & info [ "via-erm" ]
           ~doc:"Decide through the Theorem 1 reduction (ERM-oracle calls).")
   in
-  let run g colors phi via_erm fuel timeout max_table max_ball no_precheck
-      jobs ckpt_opts pulse trace stats stats_json =
-    apply_jobs jobs;
-    with_obs ~pulse ~trace ~stats ~stats_json @@ fun () ->
-    with_pulse ~cmd:"mc" pulse @@ fun () ->
+  (* mc has no candidate enumeration to replay-skip: checkpoints record
+     run identity and spend only, and a resumed run re-checks from
+     scratch (coarse resume) *)
+  let run g colors phi via_erm no_precheck proc =
+    with_process ~cmd:"mc" proc @@ fun () ->
+    exec_op ~cmd:"mc" ~precheck:(not no_precheck) proc @@ fun () ->
     let phi = parse_formula_or_exit ~cmd:"mc" ~flag:"--formula" phi in
-    (match Fo.Formula.free_vars phi with
-    | [] -> ()
-    | fv ->
-        Format.eprintf
-          "folearn mc: --formula must be a sentence; free variable%s: %s@."
-          (if List.length fv > 1 then "s" else "")
-          (String.concat ", " fv);
-        exit 2);
-    let budget =
-      budget_for_pulse pulse (budget_of ~fuel ~timeout ~max_table ~max_ball)
-    in
-    let g = with_cli_colors g colors in
-    (* mc has no candidate enumeration to replay-skip: checkpoints
-       record run identity and spend only, and a resumed run re-checks
-       from scratch (coarse resume) *)
-    let run_id =
-      run_id_of
-        [
-          "mc"; Io.to_string g;
-          Fo.Formula.to_string phi;
-          string_of_bool via_erm;
-        ]
-    in
-    let budget, ckpt =
-      setup_resilience ~cmd:"mc" ~solver:"mc" ~run_id ~budget ckpt_opts
-    in
-    install_progress
-      ~metrics:(pulse.metrics_addr <> None)
-      ~run_id ~solver:"mc" ~sample_size:0 budget ckpt;
-    let outcome =
-      Resil.Ctl.with_attached ckpt @@ fun () ->
-      if via_erm then
-        Guard.outcome_map
-          (fun (verdict, stats) ->
-            fun () ->
-             Format.printf "%b@." verdict;
-             Format.printf
-               "(oracle calls: %d, recursion nodes: %d, representative sets: \
-                [%s])@."
-               stats.Folearn.Reduction.oracle_calls
-               stats.Folearn.Reduction.recursion_nodes
-               (String.concat "; "
-                  (List.map string_of_int
-                     stats.Folearn.Reduction.representative_sets)))
-          (Folearn.Reduction.model_check_budgeted ?budget
-             ~precheck:(not no_precheck)
-             ~oracle:Folearn.Reduction.exact_oracle g phi)
-      else
-        Guard.run ?budget
-          ~salvage:(fun () -> None)
-          (fun () ->
-            let verdict = Modelcheck.Eval.sentence g phi in
-            fun () -> Format.printf "%b@." verdict)
-    in
-    match outcome with
-    | Guard.Complete print ->
-        Resil.Ctl.flush ~complete:true ckpt;
-        print ();
-        0
-    | Guard.Exhausted { reason; checkpoint; spent; _ } ->
-        (* a truth value is all-or-nothing: no partial verdict to keep *)
-        Resil.Ctl.flush ckpt;
-        report_exhausted ~cmd:"mc" ~reason ~checkpoint ~spent;
-        exhausted_exit reason ~salvaged:false
+    or_usage (Serve.Exec.mc (Graph.with_colors g colors) phi ~via_erm)
   in
   Cmd.v
     (Cmd.info "mc" ~doc:"First-order model checking (direct or via Theorem 1).")
     Term.(
-      const run $ graph_arg $ colors_arg $ formula_arg $ via_erm_arg $ fuel_arg
-      $ timeout_arg $ max_table_arg $ max_ball_arg $ no_precheck_arg
-      $ jobs_arg $ ckpt_term $ pulse_term $ trace_arg $ stats_arg
-      $ stats_json_arg)
+      const run $ graph_arg $ colors_arg $ formula_arg $ via_erm_arg
+      $ no_precheck_arg $ proc_term)
 
 (* ------------------------------------------------------------------ *)
 (* types                                                               *)
@@ -1530,65 +1212,16 @@ let types_cmd =
       value & flag
       & info [ "hintikka" ] ~doc:"Also print one Hintikka formula per class.")
   in
-  let run g colors q k hintikka fuel timeout max_table max_ball jobs ckpt_opts
-      pulse trace stats stats_json =
-    apply_jobs jobs;
-    with_obs ~pulse ~trace ~stats ~stats_json @@ fun () ->
-    with_pulse ~cmd:"types" pulse @@ fun () ->
-    let budget =
-      budget_for_pulse pulse (budget_of ~fuel ~timeout ~max_table ~max_ball)
-    in
-    let g = with_cli_colors g colors in
-    let run_id =
-      run_id_of
-        [
-          "types"; Io.to_string g; string_of_int q; string_of_int k;
-          string_of_bool hintikka;
-        ]
-    in
-    let budget, ckpt =
-      setup_resilience ~cmd:"types" ~solver:"types" ~run_id ~budget ckpt_opts
-    in
-    install_progress
-      ~metrics:(pulse.metrics_addr <> None)
-      ~run_id ~solver:"types" ~sample_size:0 budget ckpt;
-    let outcome =
-      Resil.Ctl.with_attached ckpt @@ fun () ->
-      Guard.run ?budget
-        ~salvage:(fun () -> None)
-        (fun () ->
-          let ctx = Modelcheck.Types.make_ctx g in
-          Modelcheck.Types.partition_by_tp ctx ~q
-            (Graph.Tuple.all ~n:(Graph.order g) ~k))
-    in
-    match outcome with
-    | Guard.Complete classes ->
-        Resil.Ctl.flush ~complete:true ckpt;
-        Format.printf "%d distinct tp_%d classes of %d-tuples on %d vertices@."
-          (List.length classes) q k (Graph.order g);
-        List.iteri
-          (fun i (ty, members) ->
-            Format.printf "class %d (%a): %d tuples, e.g. %a@." i
-              Modelcheck.Types.pp ty (List.length members) Graph.Tuple.pp
-              (List.hd members);
-            if hintikka then
-              Format.printf "  %t@." (fun ppf ->
-                  Fo.Formula.render ~col:2 (Format.pp_print_string ppf)
-                    (Modelcheck.Hintikka.of_type
-                       ~colors:(Graph.color_names g) ty)))
-          classes;
-        0
-    | Guard.Exhausted { reason; checkpoint; spent; _ } ->
-        Resil.Ctl.flush ckpt;
-        report_exhausted ~cmd:"types" ~reason ~checkpoint ~spent;
-        exhausted_exit reason ~salvaged:false
+  let run g colors q k hintikka proc =
+    with_process ~cmd:"types" proc @@ fun () ->
+    exec_op ~cmd:"types" ~precheck:true proc @@ fun () ->
+    Serve.Exec.Types { g = Graph.with_colors g colors; q; k; hintikka }
   in
   Cmd.v
     (Cmd.info "types" ~doc:"Print the q-type partition of the graph.")
     Term.(
       const run $ graph_arg $ colors_arg $ q_arg $ k_arg $ hintikka_arg
-      $ fuel_arg $ timeout_arg $ max_table_arg $ max_ball_arg $ jobs_arg
-      $ ckpt_term $ pulse_term $ trace_arg $ stats_arg $ stats_json_arg)
+      $ proc_term)
 
 (* ------------------------------------------------------------------ *)
 (* game                                                                *)
@@ -1596,56 +1229,14 @@ let types_cmd =
 
 let game_cmd =
   let r_arg = Arg.(value & opt int 2 & info [ "r" ] ~doc:"Game radius.") in
-  let run g colors r fuel timeout max_table max_ball jobs ckpt_opts pulse
-      trace stats stats_json =
-    apply_jobs jobs;
-    with_obs ~pulse ~trace ~stats ~stats_json @@ fun () ->
-    with_pulse ~cmd:"game" pulse @@ fun () ->
-    let budget =
-      budget_for_pulse pulse (budget_of ~fuel ~timeout ~max_table ~max_ball)
-    in
-    let g = with_cli_colors g colors in
-    let run_id = run_id_of [ "game"; Io.to_string g; string_of_int r ] in
-    let budget, ckpt =
-      setup_resilience ~cmd:"game" ~solver:"game" ~run_id ~budget ckpt_opts
-    in
-    install_progress
-      ~metrics:(pulse.metrics_addr <> None)
-      ~run_id ~solver:"game" ~sample_size:0 budget ckpt;
-    let outcome =
-      Resil.Ctl.with_attached ckpt @@ fun () ->
-      Guard.run ?budget
-        ~salvage:(fun () -> None)
-        (fun () ->
-          Splitter.Game.trace g ~r
-            ~connector:(Splitter.Strategy.connector_max_ball ~r)
-            ~splitter:Splitter.Strategy.best_heuristic)
-    in
-    match outcome with
-    | Guard.Complete tr ->
-        Resil.Ctl.flush ~complete:true ckpt;
-        List.iteri
-          (fun i (v, w, remaining) ->
-            Format.printf
-              "round %d: Connector -> %d, Splitter -> %d, arena %d vertices@."
-              (i + 1) v w remaining)
-          tr;
-        (match List.rev tr with
-        | (_, _, 0) :: _ ->
-            Format.printf "Splitter wins in %d rounds@." (List.length tr)
-        | _ -> Format.printf "no win within the round cap@.");
-        0
-    | Guard.Exhausted { reason; checkpoint; spent; _ } ->
-        Resil.Ctl.flush ckpt;
-        report_exhausted ~cmd:"game" ~reason ~checkpoint ~spent;
-        exhausted_exit reason ~salvaged:false
+  let run g colors r proc =
+    with_process ~cmd:"game" proc @@ fun () ->
+    exec_op ~cmd:"game" ~precheck:true proc @@ fun () ->
+    Serve.Exec.Game { g = Graph.with_colors g colors; r }
   in
   Cmd.v
     (Cmd.info "game" ~doc:"Play out the (r, s)-splitter game.")
-    Term.(
-      const run $ graph_arg $ colors_arg $ r_arg $ fuel_arg $ timeout_arg
-      $ max_table_arg $ max_ball_arg $ jobs_arg $ ckpt_term $ pulse_term
-      $ trace_arg $ stats_arg $ stats_json_arg)
+    Term.(const run $ graph_arg $ colors_arg $ r_arg $ proc_term)
 
 (* ------------------------------------------------------------------ *)
 (* graph                                                               *)
@@ -1663,7 +1254,7 @@ let graph_cmd =
     Arg.(value & flag & info [ "dot" ] ~doc:"Emit GraphViz instead.")
   in
   let run g colors out dot =
-    let g = with_cli_colors g colors in
+    let g = Graph.with_colors g colors in
     let text = if dot then Graph.to_dot g else Io.to_string g in
     (match out with
     | Some path ->
@@ -2445,7 +2036,7 @@ let rpc_timeout_arg =
     & info [ "rpc-timeout" ] ~docv:"SECONDS"
         ~doc:"Socket receive timeout while waiting for the response.")
 
-let budget_req_of ~fuel ~timeout ~max_table ~max_ball =
+let budget_req_of { fuel; timeout; max_table; max_ball } =
   { Serve.Proto.fuel; deadline_s = timeout; max_table; max_ball }
 
 let rpc_with_retries ~cmd ~connect ~retries ~backoff ~timeout_s req =
@@ -2612,13 +2203,12 @@ let call_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"OP" ~doc:"learn, mc, types, game or ping.")
   in
-  let run op connect tenant retries backoff timeout_s fuel timeout max_table
-      max_ball params =
+  let run op connect tenant retries backoff timeout_s budget params =
     let req =
       {
         Serve.Proto.tenant;
         op;
-        budget = budget_req_of ~fuel ~timeout ~max_table ~max_ball;
+        budget = budget_req_of budget;
         params;
       }
     in
@@ -2635,17 +2225,15 @@ let call_cmd =
           stdout/stderr/exit code locally.")
     Term.(
       const run $ op_arg $ connect_arg $ rpc_tenant_arg $ retries_arg
-      $ backoff_arg $ rpc_timeout_arg $ fuel_arg $ timeout_arg
-      $ max_table_arg $ max_ball_arg $ params_term)
+      $ backoff_arg $ rpc_timeout_arg $ budget_term $ params_term)
 
 let submit_cmd =
-  let run connect tenant retries backoff timeout_s fuel timeout max_table
-      max_ball params =
+  let run connect tenant retries backoff timeout_s budget params =
     let req =
       {
         Serve.Proto.tenant;
         op = "submit";
-        budget = budget_req_of ~fuel ~timeout ~max_table ~max_ball;
+        budget = budget_req_of budget;
         params;
       }
     in
@@ -2675,8 +2263,7 @@ let submit_cmd =
           $(b,folearn poll).  Submitting identical work is idempotent.")
     Term.(
       const run $ connect_arg $ rpc_tenant_arg $ retries_arg $ backoff_arg
-      $ rpc_timeout_arg $ fuel_arg $ timeout_arg $ max_table_arg
-      $ max_ball_arg $ params_term)
+      $ rpc_timeout_arg $ budget_term $ params_term)
 
 let poll_cmd =
   let id_arg =

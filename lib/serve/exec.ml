@@ -1,13 +1,12 @@
-(* The CLI's solo op bodies, retargeted at buffers.  Print statements
-   are kept textually in lockstep with bin/folearn_cli.ml — the
-   serve-chaos harness compares a served learn's stdout byte-for-byte
-   against the one-shot CLI's, at jobs 1 and 4. *)
+(* The learn/mc/types/game ops.  The CLI calls [run] with the process
+   streams and the service calls [run_op] with buffers, so a served
+   response's stdout is the one-shot CLI's byte for byte. *)
 
 open Cgraph
 module J = Obs.Json
 
 (* ------------------------------------------------------------------ *)
-(* graph / colour spec parsing (moved here from the CLI)               *)
+(* graph / colour / formula parsing                                    *)
 (* ------------------------------------------------------------------ *)
 
 let parse_graph_spec spec =
@@ -59,14 +58,145 @@ let parse_color s =
       | members -> Ok (name, members)
       | exception _ -> Error (`Msg "bad colour spec"))
 
-(* ------------------------------------------------------------------ *)
-(* parameter objects                                                   *)
-(* ------------------------------------------------------------------ *)
 
 (* a usage error: the already-formatted stderr line(s), exit code 2 *)
 exception Usage of string
 
 let usage fmt = Format.kasprintf (fun m -> raise (Usage m)) fmt
+
+let catch_usage f = match f () with v -> Ok v | exception Usage m -> Error m
+
+let parse_formula ~cmd ~flag s =
+  match Fo.Parser.parse_result s with
+  | Ok f -> Ok f
+  | Error e ->
+      Error
+        (Format.asprintf "folearn %s: %s: %a" cmd flag Fo.Parser.pp_error e)
+
+(* ------------------------------------------------------------------ *)
+(* requests                                                            *)
+(* ------------------------------------------------------------------ *)
+
+type solver = [ `Brute | `Nd | `Counting | `Local ]
+
+let solvers =
+  [ ("brute", `Brute); ("nd", `Nd); ("counting", `Counting); ("local", `Local) ]
+
+let plan_solver : solver -> Analysis.Plan.solver = function
+  | `Brute -> Analysis.Plan.Brute
+  | `Nd -> Analysis.Plan.Nd
+  | `Counting -> Analysis.Plan.Counting
+  | `Local -> Analysis.Plan.Local
+
+let name_of_solver (s : solver) =
+  fst (List.find (fun (_, s') -> s' = s) solvers)
+
+type learn_p = {
+  lp_g : Graph.t;
+  lp_target : Fo.Formula.t;
+  lp_k : int;
+  lp_ell : int;
+  lp_q : int;
+  lp_solver : solver;
+  lp_tmax : int;
+  lp_noise : float;
+  lp_m : int;
+  lp_seed : int;
+}
+
+type prepared = {
+  p : learn_p;
+  tuples : Graph.Tuple.t list;
+  lam : Folearn.Sample.t;
+}
+
+let check_target ~cmd g ~k target =
+  match
+    Analysis.Diagnostic.errors
+      (Analysis.Fo_check.check ~vocab:(Analysis.Vocab.of_graph g)
+         ~allowed_free:(Folearn.Hypothesis.xvars k) target)
+  with
+  | [] -> Ok ()
+  | errs ->
+      Error
+        (Printf.sprintf
+           "folearn %s: the target must be a query over x1..x%d in the \
+            graph's vocabulary:\n\
+            %s"
+           cmd k
+           (Analysis.Diagnostic.render_list errs))
+
+let sample_tuples g ~k ~m ~seed =
+  if m = 0 then Folearn.Sample.all_tuples g ~k
+  else Folearn.Sample.random_tuples ~seed g ~k ~m
+
+let prepare p =
+  let module Sam = Folearn.Sample in
+  Result.map
+    (fun () ->
+      let tuples =
+        sample_tuples p.lp_g ~k:p.lp_k ~m:p.lp_m ~seed:p.lp_seed
+      in
+      let lam =
+        Sam.label_with_query p.lp_g ~formula:p.lp_target
+          ~xvars:(Folearn.Hypothesis.xvars p.lp_k) tuples
+      in
+      let lam =
+        if p.lp_noise > 0.0 then
+          Sam.flip_noise ~seed:p.lp_seed ~p:p.lp_noise lam
+        else lam
+      in
+      { p; tuples; lam })
+    (check_target ~cmd:"learn" p.lp_g ~k:p.lp_k p.lp_target)
+
+type request =
+  | Learn of prepared
+  | Mc of { g : Graph.t; phi : Fo.Formula.t; via_erm : bool }
+  | Types of { g : Graph.t; q : int; k : int; hintikka : bool }
+  | Game of { g : Graph.t; r : int }
+
+let mc g phi ~via_erm =
+  match Fo.Formula.free_vars phi with
+  | [] -> Ok (Mc { g; phi; via_erm })
+  | fv ->
+      Error
+        (Printf.sprintf
+           "folearn mc: --formula must be a sentence; free variable%s: %s"
+           (if List.length fv > 1 then "s" else "")
+           (String.concat ", " fv))
+
+let run_id_of parts = Digest.to_hex (Digest.string (String.concat "\n" parts))
+
+let learn_run_id p =
+  run_id_of
+    [
+      "learn"; Io.to_string p.lp_g;
+      Fo.Formula.to_string p.lp_target;
+      string_of_int p.lp_k; string_of_int p.lp_ell; string_of_int p.lp_q;
+      name_of_solver p.lp_solver;
+      string_of_int p.lp_tmax; string_of_float p.lp_noise;
+      string_of_int p.lp_m; string_of_int p.lp_seed;
+    ]
+
+let run_id = function
+  | Learn { p; _ } -> learn_run_id p
+  | Mc { g; phi; via_erm } ->
+      run_id_of
+        [ "mc"; Io.to_string g; Fo.Formula.to_string phi;
+          string_of_bool via_erm ]
+  | Types { g; q; k; hintikka } ->
+      run_id_of
+        [ "types"; Io.to_string g; string_of_int q; string_of_int k;
+          string_of_bool hintikka ]
+  | Game { g; r } -> run_id_of [ "game"; Io.to_string g; string_of_int r ]
+
+let solver_name = function
+  | Learn { p; _ } -> name_of_solver p.lp_solver
+  | Mc _ -> "mc"
+  | Types _ -> "types"
+  | Game _ -> "game"
+
+(* -- JSON parameter objects ---------------------------------------- *)
 
 let p_str name j = Option.bind (J.member name j) J.to_string_opt
 
@@ -104,41 +234,25 @@ let p_graph ~op j =
   | Error (`Msg m) -> usage "folearn %s: --graph: %s" op m
   | exception _ -> usage "folearn %s: bad graph spec %S" op spec
 
-let parse_formula ~cmd ~flag s =
-  match Fo.Parser.parse_result s with
-  | Ok f -> f
-  | Error e -> usage "folearn %s: %s: %a" cmd flag Fo.Parser.pp_error e
+let ok_or_usage = function Ok v -> v | Error m -> raise (Usage m)
 
-let run_id_of parts = Digest.to_hex (Digest.string (String.concat "\n" parts))
-
-(* -- learn --------------------------------------------------------- *)
-
-type learn_p = {
-  lp_g : Graph.t;
-  lp_target : Fo.Formula.t;
-  lp_k : int;
-  lp_ell : int;
-  lp_q : int;
-  lp_solver : [ `Brute | `Nd | `Counting | `Local ];
-  lp_tmax : int;
-  lp_noise : float;
-  lp_m : int;
-  lp_seed : int;
-}
+let p_formula ~op ~flag name j =
+  ok_or_usage (parse_formula ~cmd:op ~flag (p_req_str ~op name j))
 
 let learn_params j =
   let target = p_req_str ~op:"learn" "target" j in
   let solver =
-    match Option.value ~default:"brute" (p_str "solver" j) with
-    | "brute" -> `Brute
-    | "nd" -> `Nd
-    | "counting" -> `Counting
-    | "local" -> `Local
-    | s -> usage "folearn learn: unknown solver %S" s
+    let s = Option.value ~default:"brute" (p_str "solver" j) in
+    match List.assoc_opt s solvers with
+    | Some s -> s
+    | None -> usage "folearn learn: unknown solver %S" s
+  in
+  let target =
+    ok_or_usage (parse_formula ~cmd:"learn" ~flag:"--target" target)
   in
   {
     lp_g = p_graph ~op:"learn" j;
-    lp_target = parse_formula ~cmd:"learn" ~flag:"--target" target;
+    lp_target = target;
     lp_k = p_int ~default:1 "k" j;
     lp_ell = p_int ~default:0 "ell" j;
     lp_q = p_int ~default:1 "q" j;
@@ -149,71 +263,33 @@ let learn_params j =
     lp_seed = p_int ~default:1 "seed" j;
   }
 
-let solver_name = function
-  | `Brute -> "brute"
-  | `Nd -> "nd"
-  | `Counting -> "counting"
-  | `Local -> "local"
-
-let learn_run_id p =
-  run_id_of
-    [
-      "learn"; Io.to_string p.lp_g;
-      Fo.Formula.to_string p.lp_target;
-      string_of_int p.lp_k; string_of_int p.lp_ell; string_of_int p.lp_q;
-      solver_name p.lp_solver;
-      string_of_int p.lp_tmax; string_of_float p.lp_noise;
-      string_of_int p.lp_m; string_of_int p.lp_seed;
-    ]
-
-(* parse/validate the target, fix the run identity, label the training
-   sequence — the CLI's [learn_prep], verbatim semantics *)
-let learn_prep p =
-  let module Sam = Folearn.Sample in
-  let xvars = Folearn.Hypothesis.xvars p.lp_k in
-  (match
-     Analysis.Diagnostic.errors
-       (Analysis.Fo_check.check
-          ~vocab:(Analysis.Vocab.of_graph p.lp_g)
-          ~allowed_free:xvars p.lp_target)
-   with
-  | [] -> ()
-  | errs ->
-      usage
-        "folearn learn: the target must be a query over x1..x%d in the \
-         graph's vocabulary:@.%s"
-        p.lp_k
-        (Analysis.Diagnostic.render_list errs));
-  let tuples =
-    if p.lp_m = 0 then Sam.all_tuples p.lp_g ~k:p.lp_k
-    else Sam.random_tuples ~seed:p.lp_seed p.lp_g ~k:p.lp_k ~m:p.lp_m
-  in
-  let lam =
-    Sam.label_with_query p.lp_g ~formula:p.lp_target ~xvars tuples
-    |> fun l ->
-    if p.lp_noise > 0.0 then Sam.flip_noise ~seed:p.lp_seed ~p:p.lp_noise l
-    else l
-  in
-  (learn_run_id p, tuples, lam)
+let request_of_json ~op j =
+  catch_usage @@ fun () ->
+  match op with
+  | "learn" -> Learn (ok_or_usage (prepare (learn_params j)))
+  | "mc" ->
+      let g = p_graph ~op j in
+      let phi = p_formula ~op ~flag:"--formula" "formula" j in
+      ok_or_usage (mc g phi ~via_erm:(p_bool ~default:false "via_erm" j))
+  | "types" ->
+      Types
+        {
+          g = p_graph ~op j;
+          q = p_int ~default:1 "q" j;
+          k = p_int ~default:1 "k" j;
+          hintikka = p_bool ~default:false "hintikka" j;
+        }
+  | "game" -> Game { g = p_graph ~op j; r = p_int ~default:2 "r" j }
+  | _ -> usage "folearn serve: unknown op %S" op
 
 let learn_identity j =
-  match
-    let p = learn_params j in
-    (learn_run_id p, solver_name p.lp_solver)
-  with
-  | v -> Ok v
-  | exception Usage m -> Error m
+  catch_usage (fun () ->
+      let p = learn_params j in
+      (learn_run_id p, name_of_solver p.lp_solver))
 
 (* ------------------------------------------------------------------ *)
 (* execution                                                           *)
 (* ------------------------------------------------------------------ *)
-
-type run = {
-  code : int;
-  out : string;
-  err : string;
-  spent : Guard.spent option;
-}
 
 let exit_degraded = 3
 let exit_exhausted = 4
@@ -236,50 +312,102 @@ let report_exhausted ~err ~cmd ~reason ~checkpoint ~(spent : Guard.spent) =
       | Guard.Interrupted -> "interrupted"
       | r -> "guard.exhausted:" ^ Guard.reason_to_string r)
 
+(* an interrupted run exits 3 even with nothing salvaged: the operator
+   asked for the stop, and the snapshot (if any) holds the progress *)
 let exhausted_exit reason ~salvaged =
   if reason = Guard.Interrupted || salvaged then exit_degraded
   else exit_exhausted
 
-let run_learn ~out ~err ?budget ~ckpt ~precheck params =
-  let p = learn_params params in
-  let g = p.lp_g and k = p.lp_k and ell = p.lp_ell and q = p.lp_q in
-  let tmax = p.lp_tmax in
-  let _run_id, _tuples, lam = learn_prep p in
-  let module Sam = Folearn.Sample in
-  Format.fprintf out "training sequence: %d examples (%d positive)@."
-    (Sam.size lam)
-    (List.length (Sam.positives lam));
-  let conclude outcome print =
-    match outcome with
-    | Guard.Complete r ->
-        Resil.Ctl.flush ~complete:true ckpt;
-        print r;
-        0
-    | Guard.Exhausted { best_so_far = Some r; reason; checkpoint; spent } ->
-        Resil.Ctl.flush ckpt;
-        report_exhausted ~err ~cmd:"learn" ~reason ~checkpoint ~spent;
-        Format.fprintf out
-          "best-so-far hypothesis (no optimality certificate):@.";
-        print r;
-        exhausted_exit reason ~salvaged:true
-    | Guard.Exhausted { best_so_far = None; reason; checkpoint; spent } ->
-        Resil.Ctl.flush ckpt;
-        report_exhausted ~err ~cmd:"learn" ~reason ~checkpoint ~spent;
-        Format.fprintf err "folearn learn: no hypothesis salvaged@.";
-        exhausted_exit reason ~salvaged:false
+(* one outcome handler for every op: 0 on a complete run; on
+   exhaustion 3 when a best-so-far hypothesis (its true empirical
+   error, but no min-error certificate) survived, 4 when nothing did *)
+let conclude ~out ~err ~ckpt ~cmd outcome print =
+  match outcome with
+  | Guard.Complete r ->
+      Resil.Ctl.flush ~complete:true ckpt;
+      print r;
+      0
+  | Guard.Exhausted { best_so_far; reason; checkpoint; spent } ->
+      Resil.Ctl.flush ckpt;
+      report_exhausted ~err ~cmd ~reason ~checkpoint ~spent;
+      (match best_so_far with
+      | Some r ->
+          Format.fprintf out
+            "best-so-far hypothesis (no optimality certificate):@.";
+          print r
+      | None when cmd = "learn" ->
+          Format.fprintf err "folearn learn: no hypothesis salvaged@."
+      | None -> ());
+      exhausted_exit reason ~salvaged:(Option.is_some best_so_far)
+
+(* every learn report: the solver line, the training error, then the
+   witness formula (exact sweeps) or the witness's parameters *)
+let report out ~solver ~err ~witness hyp =
+  Format.fprintf out "solver: %s@." solver;
+  Format.fprintf out "training error: %.4f@." err;
+  if witness then Format.fprintf out "%a@." Folearn.Hypothesis.pp hyp
+  else
+    Format.fprintf out "parameters: %a@." Graph.Tuple.pp
+      (Folearn.Hypothesis.params hyp)
+
+let report_sweep out p ~params_tried ~err hyp =
+  let solver =
+    match p.lp_solver with
+    | `Counting ->
+        Printf.sprintf
+          "exact counting ERM (FOC, thresholds <= %d; tried %d parameter \
+           tuples)"
+          p.lp_tmax params_tried
+    | `Brute | `Nd | `Local ->
+        Printf.sprintf "Prop 11 exact ERM (tried %d parameter tuples)"
+          params_tried
   in
+  report out ~solver ~err ~witness:true hyp
+
+let report_local out g (r : Folearn.Erm_local.result) =
+  report out
+    ~solver:
+      (Printf.sprintf
+         "sublinear local learner (pool %d, touched %d of %d vertices)"
+         r.Folearn.Erm_local.pool_size r.Folearn.Erm_local.vertices_touched
+         (Graph.order g))
+    ~err:r.Folearn.Erm_local.err ~witness:false
+    r.Folearn.Erm_local.hypothesis
+
+(* degrade only under a real budget: an unlimited one (installed to
+   drive the snapshot cadence or /progress) has nothing to degrade
+   under, and a checkpointed run must resume bit-identically, which the
+   chain's stage hand-offs (no stable candidate numbering) cannot *)
+let degrades budget ckpt =
+  let l = Guard.Budget.limits budget in
+  (not (Resil.Ctl.active ckpt))
+  && (l.l_fuel <> None || l.l_timeout_s <> None || l.l_max_table <> None
+     || l.l_max_ball <> None || l.l_max_catalogue <> None)
+
+let report_sample ~out { lam; _ } =
+  Format.fprintf out "training sequence: %d examples (%d positive)@."
+    (Folearn.Sample.size lam)
+    (List.length (Folearn.Sample.positives lam))
+
+let run_learn ~out ~err ?budget ~ckpt ~precheck ({ p; lam; _ } as prep) =
+  let g = p.lp_g and k = p.lp_k and ell = p.lp_ell and q = p.lp_q in
+  report_sample ~out prep;
+  let conclude outcome print = conclude ~out ~err ~ckpt ~cmd:"learn" outcome print in
   match p.lp_solver with
   | `Brute ->
       conclude
         (Folearn.Erm_brute.solve_budgeted ?budget ~precheck ~ckpt g ~k ~ell ~q
            lam)
         (fun (r : Folearn.Erm_brute.result) ->
-          Format.fprintf out
-            "solver: Prop 11 exact ERM (tried %d parameter tuples)@."
-            r.Folearn.Erm_brute.params_tried;
-          Format.fprintf out "training error: %.4f@." r.Folearn.Erm_brute.err;
-          Format.fprintf out "%a@." Folearn.Hypothesis.pp
-            r.Folearn.Erm_brute.hypothesis)
+          report_sweep out p ~params_tried:r.Folearn.Erm_brute.params_tried
+            ~err:r.Folearn.Erm_brute.err r.Folearn.Erm_brute.hypothesis)
+  | `Counting ->
+      conclude
+        (Folearn.Erm_counting.solve_budgeted ?budget ~precheck ~ckpt g ~k ~ell
+           ~q ~tmax:p.lp_tmax lam)
+        (fun (r : Folearn.Erm_counting.result) ->
+          report_sweep out p ~params_tried:r.Folearn.Erm_counting.params_tried
+            ~err:r.Folearn.Erm_counting.err r.Folearn.Erm_counting.hypothesis)
   | `Nd ->
       let cls = Splitter.Nowhere_dense.of_graph "cli" g in
       let cfg =
@@ -289,59 +417,29 @@ let run_learn ~out ~err ?budget ~ckpt ~precheck params =
       conclude
         (Folearn.Erm_nd.solve_budgeted ?budget ~precheck ~ckpt cfg g lam)
         (fun (rep : Folearn.Erm_nd.report) ->
-          Format.fprintf out
-            "solver: Theorem 13 (rounds %d, branches %d, ell used %d, rank \
-             %d)@."
-            (List.length rep.Folearn.Erm_nd.rounds)
-            rep.Folearn.Erm_nd.branches_explored rep.Folearn.Erm_nd.ell_used
-            rep.Folearn.Erm_nd.q_used;
-          Format.fprintf out "training error: %.4f@." rep.Folearn.Erm_nd.err;
-          Format.fprintf out "parameters: %a@." Graph.Tuple.pp
-            (Folearn.Hypothesis.params rep.Folearn.Erm_nd.hypothesis))
-  | `Counting ->
-      conclude
-        (Folearn.Erm_counting.solve_budgeted ?budget ~precheck ~ckpt g ~k ~ell
-           ~q ~tmax lam)
-        (fun (r : Folearn.Erm_counting.result) ->
-          Format.fprintf out
-            "solver: exact counting ERM (FOC, thresholds <= %d; tried %d \
-             parameter tuples)@."
-            tmax r.Folearn.Erm_counting.params_tried;
-          Format.fprintf out "training error: %.4f@."
-            r.Folearn.Erm_counting.err;
-          Format.fprintf out "%a@." Folearn.Hypothesis.pp
-            r.Folearn.Erm_counting.hypothesis)
+          report out
+            ~solver:
+              (Printf.sprintf
+                 "Theorem 13 (rounds %d, branches %d, ell used %d, rank %d)"
+                 (List.length rep.Folearn.Erm_nd.rounds)
+                 rep.Folearn.Erm_nd.branches_explored
+                 rep.Folearn.Erm_nd.ell_used rep.Folearn.Erm_nd.q_used)
+            ~err:rep.Folearn.Erm_nd.err ~witness:false
+            rep.Folearn.Erm_nd.hypothesis)
   | `Local -> (
       match budget with
       | None ->
-          let r = Folearn.Erm_local.solve g ~k ~ell ~q lam in
-          Format.fprintf out
-            "solver: sublinear local learner (pool %d, touched %d of %d \
-             vertices)@."
-            r.Folearn.Erm_local.pool_size r.Folearn.Erm_local.vertices_touched
-            (Graph.order g);
-          Format.fprintf out "training error: %.4f@." r.Folearn.Erm_local.err;
-          Format.fprintf out "parameters: %a@." Graph.Tuple.pp
-            (Folearn.Hypothesis.params r.Folearn.Erm_local.hypothesis);
+          report_local out g (Folearn.Erm_local.solve g ~k ~ell ~q lam);
           0
-      | Some _ when Resil.Ctl.active ckpt ->
-          (* a checkpointed (job) local run must resume bit-identically,
-             so it bypasses the degradation chain — same rule as the
-             CLI's --checkpoint path *)
+      | Some b when not (degrades b ckpt) ->
           conclude
             (Folearn.Erm_local.solve_budgeted ?budget ~precheck ~ckpt g ~k
                ~ell ~q lam)
-            (fun (r : Folearn.Erm_local.result) ->
-              Format.fprintf out
-                "solver: sublinear local learner (pool %d, touched %d of %d \
-                 vertices)@."
-                r.Folearn.Erm_local.pool_size
-                r.Folearn.Erm_local.vertices_touched (Graph.order g);
-              Format.fprintf out "training error: %.4f@."
-                r.Folearn.Erm_local.err;
-              Format.fprintf out "parameters: %a@." Graph.Tuple.pp
-                (Folearn.Hypothesis.params r.Folearn.Erm_local.hypothesis))
+            (report_local out g)
       | Some _ -> (
+          (* the degradation chain: local at rank q, then exact brute
+             ERM at ranks q-1, ..., 0, all racing one wall-clock
+             deadline *)
           let print (l : Folearn.Degrade.learned) =
             List.iter
               (fun (a : Folearn.Degrade.attempt) ->
@@ -351,157 +449,124 @@ let run_learn ~out ~err ?budget ~ckpt ~precheck params =
                   (Guard.reason_to_string a.Folearn.Degrade.reason)
                   (Guard.checkpoint_to_string a.Folearn.Degrade.checkpoint))
               l.Folearn.Degrade.attempts;
-            Format.fprintf out "solver: %s ERM at rank %d%s@."
-              (match l.Folearn.Degrade.solver with
-              | "local" -> "sublinear local"
-              | s -> "fallback " ^ s)
-              l.Folearn.Degrade.q_used
-              (if l.Folearn.Degrade.degraded then " (degraded)" else "");
-            Format.fprintf out "training error: %.4f@." l.Folearn.Degrade.err;
-            Format.fprintf out "parameters: %a@." Graph.Tuple.pp
-              (Folearn.Hypothesis.params l.Folearn.Degrade.hypothesis)
+            report out
+              ~solver:
+                (Printf.sprintf "%s ERM at rank %d%s"
+                   (match l.Folearn.Degrade.solver with
+                   | "local" -> "sublinear local"
+                   | s -> "fallback " ^ s)
+                   l.Folearn.Degrade.q_used
+                   (if l.Folearn.Degrade.degraded then " (degraded)" else ""))
+              ~err:l.Folearn.Degrade.err ~witness:false
+              l.Folearn.Degrade.hypothesis
           in
           match Folearn.Degrade.learn ?budget ~precheck g ~k ~ell ~q lam with
-          | Guard.Complete l ->
+          | Guard.Complete l when l.Folearn.Degrade.degraded ->
               print l;
-              if l.Folearn.Degrade.degraded then exit_degraded else 0
-          | Guard.Exhausted { best_so_far = Some l; reason; checkpoint; spent }
-            ->
-              report_exhausted ~err ~cmd:"learn" ~reason ~checkpoint ~spent;
-              Format.fprintf out
-                "best-so-far hypothesis (no optimality certificate):@.";
-              print l;
-              exhausted_exit reason ~salvaged:true
-          | Guard.Exhausted { best_so_far = None; reason; checkpoint; spent }
-            ->
-              report_exhausted ~err ~cmd:"learn" ~reason ~checkpoint ~spent;
-              Format.fprintf err "folearn learn: no hypothesis salvaged@.";
-              exhausted_exit reason ~salvaged:false))
+              exit_degraded
+          | outcome -> conclude outcome print))
 
-(* -- mc ------------------------------------------------------------ *)
+(* mc, types and game settle all or nothing: a truth value, a
+   partition or a trace, never a partial one *)
+let run_whole ~out ~err ?budget ~ckpt ~cmd compute print =
+  conclude ~out ~err ~ckpt ~cmd
+    (Resil.Ctl.with_attached ckpt @@ fun () ->
+     Guard.run ?budget ~salvage:(fun () -> None) compute)
+    print
 
-let run_mc ~out ~err ?budget ~ckpt ~precheck params =
-  let g = p_graph ~op:"mc" params in
-  let phi =
-    parse_formula ~cmd:"mc" ~flag:"--formula"
-      (p_req_str ~op:"mc" "formula" params)
-  in
-  let via_erm = p_bool ~default:false "via_erm" params in
-  (match Fo.Formula.free_vars phi with
-  | [] -> ()
-  | fv ->
-      usage "folearn mc: --formula must be a sentence; free variable%s: %s"
-        (if List.length fv > 1 then "s" else "")
-        (String.concat ", " fv));
-  let outcome =
-    Resil.Ctl.with_attached ckpt @@ fun () ->
-    if via_erm then
-      Guard.outcome_map
-        (fun (verdict, stats) ->
-          fun () ->
-           Format.fprintf out "%b@." verdict;
-           Format.fprintf out
-             "(oracle calls: %d, recursion nodes: %d, representative sets: \
-              [%s])@."
-             stats.Folearn.Reduction.oracle_calls
-             stats.Folearn.Reduction.recursion_nodes
-             (String.concat "; "
-                (List.map string_of_int
-                   stats.Folearn.Reduction.representative_sets)))
-        (Folearn.Reduction.model_check_budgeted ?budget ~precheck
+let run ~out ~err ?budget ~ckpt ~precheck = function
+  | Learn prep -> run_learn ~out ~err ?budget ~ckpt ~precheck prep
+  | Mc { g; phi; via_erm = false } ->
+      run_whole ~out ~err ?budget ~ckpt ~cmd:"mc"
+        (fun () -> Modelcheck.Eval.sentence g phi)
+        (fun verdict -> Format.fprintf out "%b@." verdict)
+  | Mc { g; phi; via_erm = true } ->
+      conclude ~out ~err ~ckpt ~cmd:"mc"
+        (Resil.Ctl.with_attached ckpt @@ fun () ->
+         Folearn.Reduction.model_check_budgeted ?budget ~precheck
            ~oracle:Folearn.Reduction.exact_oracle g phi)
-    else
-      Guard.run ?budget
-        ~salvage:(fun () -> None)
-        (fun () ->
-          let verdict = Modelcheck.Eval.sentence g phi in
-          fun () -> Format.fprintf out "%b@." verdict)
-  in
-  match outcome with
-  | Guard.Complete print ->
-      Resil.Ctl.flush ~complete:true ckpt;
-      print ();
-      0
-  | Guard.Exhausted { reason; checkpoint; spent; _ } ->
-      Resil.Ctl.flush ckpt;
-      report_exhausted ~err ~cmd:"mc" ~reason ~checkpoint ~spent;
-      exhausted_exit reason ~salvaged:false
-
-(* -- types --------------------------------------------------------- *)
-
-let run_types ~out ~err ?budget ~ckpt params =
-  let g = p_graph ~op:"types" params in
-  let q = p_int ~default:1 "q" params in
-  let k = p_int ~default:1 "k" params in
-  let hintikka = p_bool ~default:false "hintikka" params in
-  let outcome =
-    Resil.Ctl.with_attached ckpt @@ fun () ->
-    Guard.run ?budget
-      ~salvage:(fun () -> None)
-      (fun () ->
-        let ctx = Modelcheck.Types.make_ctx g in
-        Modelcheck.Types.partition_by_tp ctx ~q
-          (Graph.Tuple.all ~n:(Graph.order g) ~k))
-  in
-  match outcome with
-  | Guard.Complete classes ->
-      Resil.Ctl.flush ~complete:true ckpt;
-      Format.fprintf out
-        "%d distinct tp_%d classes of %d-tuples on %d vertices@."
-        (List.length classes) q k (Graph.order g);
-      List.iteri
-        (fun i (ty, members) ->
-          Format.fprintf out "class %d (%a): %d tuples, e.g. %a@." i
-            Modelcheck.Types.pp ty (List.length members) Graph.Tuple.pp
-            (List.hd members);
-          if hintikka then
-            Format.fprintf out "  %t@." (fun ppf ->
-                Fo.Formula.render ~col:2 (Format.pp_print_string ppf)
-                  (Modelcheck.Hintikka.of_type
-                     ~colors:(Graph.color_names g) ty)))
-        classes;
-      0
-  | Guard.Exhausted { reason; checkpoint; spent; _ } ->
-      Resil.Ctl.flush ckpt;
-      report_exhausted ~err ~cmd:"types" ~reason ~checkpoint ~spent;
-      exhausted_exit reason ~salvaged:false
-
-(* -- game ---------------------------------------------------------- *)
-
-let run_game ~out ~err ?budget ~ckpt params =
-  let g = p_graph ~op:"game" params in
-  let r = p_int ~default:2 "r" params in
-  let outcome =
-    Resil.Ctl.with_attached ckpt @@ fun () ->
-    Guard.run ?budget
-      ~salvage:(fun () -> None)
-      (fun () ->
-        Splitter.Game.trace g ~r
-          ~connector:(Splitter.Strategy.connector_max_ball ~r)
-          ~splitter:Splitter.Strategy.best_heuristic)
-  in
-  match outcome with
-  | Guard.Complete tr ->
-      Resil.Ctl.flush ~complete:true ckpt;
-      List.iteri
-        (fun i (v, w, remaining) ->
+        (fun (verdict, stats) ->
+          Format.fprintf out "%b@." verdict;
           Format.fprintf out
-            "round %d: Connector -> %d, Splitter -> %d, arena %d vertices@."
-            (i + 1) v w remaining)
-        tr;
-      (match List.rev tr with
-      | (_, _, 0) :: _ ->
-          Format.fprintf out "Splitter wins in %d rounds@." (List.length tr)
-      | _ -> Format.fprintf out "no win within the round cap@.");
-      0
-  | Guard.Exhausted { reason; checkpoint; spent; _ } ->
-      Resil.Ctl.flush ckpt;
-      report_exhausted ~err ~cmd:"game" ~reason ~checkpoint ~spent;
-      exhausted_exit reason ~salvaged:false
+            "(oracle calls: %d, recursion nodes: %d, representative sets: \
+             [%s])@."
+            stats.Folearn.Reduction.oracle_calls
+            stats.Folearn.Reduction.recursion_nodes
+            (String.concat "; "
+               (List.map string_of_int
+                  stats.Folearn.Reduction.representative_sets)))
+  | Types { g; q; k; hintikka } ->
+      run_whole ~out ~err ?budget ~ckpt ~cmd:"types"
+        (fun () ->
+          Modelcheck.Types.partition_by_tp (Modelcheck.Types.make_ctx g) ~q
+            (Graph.Tuple.all ~n:(Graph.order g) ~k))
+        (fun classes ->
+          Format.fprintf out
+            "%d distinct tp_%d classes of %d-tuples on %d vertices@."
+            (List.length classes) q k (Graph.order g);
+          List.iteri
+            (fun i (ty, members) ->
+              Format.fprintf out "class %d (%a): %d tuples, e.g. %a@." i
+                Modelcheck.Types.pp ty (List.length members) Graph.Tuple.pp
+                (List.hd members);
+              if hintikka then
+                Format.fprintf out "  %t@." (fun ppf ->
+                    Fo.Formula.render ~col:2 (Format.pp_print_string ppf)
+                      (Modelcheck.Hintikka.of_type
+                         ~colors:(Graph.color_names g) ty)))
+            classes)
+  | Game { g; r } ->
+      run_whole ~out ~err ?budget ~ckpt ~cmd:"game"
+        (fun () ->
+          Splitter.Game.trace g ~r
+            ~connector:(Splitter.Strategy.connector_max_ball ~r)
+            ~splitter:Splitter.Strategy.best_heuristic)
+        (fun tr ->
+          List.iteri
+            (fun i (v, w, remaining) ->
+              Format.fprintf out
+                "round %d: Connector -> %d, Splitter -> %d, arena %d \
+                 vertices@."
+                (i + 1) v w remaining)
+            tr;
+          match List.rev tr with
+          | (_, _, 0) :: _ ->
+              Format.fprintf out "Splitter wins in %d rounds@."
+                (List.length tr)
+          | _ -> Format.fprintf out "no win within the round cap@.")
+
+let print_sweep_winner ~out { p; lam; _ } ~params_tried winner =
+  let g = p.lp_g and k = p.lp_k and q = p.lp_q in
+  let err, hyp =
+    match winner with
+    | None ->
+        ( Folearn.Sample.error_of (fun _ -> false) lam,
+          Folearn.Hypothesis.constantly g ~k false )
+    | Some i -> (
+        let params = Graph.Tuple.of_index ~n:(Graph.order g) ~k:p.lp_ell i in
+        match p.lp_solver with
+        | `Counting ->
+            let r =
+              Folearn.Erm_counting.solve_for_params g ~k ~q ~tmax:p.lp_tmax
+                ~params lam
+            in
+            (r.Folearn.Erm_counting.err, r.Folearn.Erm_counting.hypothesis)
+        | `Brute | `Nd | `Local ->
+            let r = Folearn.Erm_brute.solve_for_params g ~k ~q ~params lam in
+            (r.Folearn.Erm_brute.err, r.Folearn.Erm_brute.hypothesis))
+  in
+  report_sweep out p ~params_tried ~err hyp
 
 (* ------------------------------------------------------------------ *)
-(* entry points                                                        *)
+(* the service's entry points                                          *)
 (* ------------------------------------------------------------------ *)
+
+type run = {
+  code : int;
+  out : string;
+  err : string;
+  spent : Guard.spent option;
+}
 
 let run_op ?budget ?(ckpt = Resil.Ctl.none) ?(precheck = true) ~op ~params ()
     =
@@ -510,20 +575,15 @@ let run_op ?budget ?(ckpt = Resil.Ctl.none) ?(precheck = true) ~op ~params ()
   let err = Format.formatter_of_buffer eb in
   let code =
     try
-      match op with
-      | "learn" -> run_learn ~out ~err ?budget ~ckpt ~precheck params
-      | "mc" -> run_mc ~out ~err ?budget ~ckpt ~precheck params
-      | "types" -> run_types ~out ~err ?budget ~ckpt params
-      | "game" -> run_game ~out ~err ?budget ~ckpt params
-      | _ -> usage "folearn serve: unknown op %S" op
-    with
-    | Usage msg ->
-        Format.fprintf err "%s@." msg;
-        2
-    | e ->
-        Format.fprintf err "folearn serve: %s op failed: %s@." op
-          (Printexc.to_string e);
-        2
+      match request_of_json ~op params with
+      | Ok req -> run ~out ~err ?budget ~ckpt ~precheck req
+      | Error msg ->
+          Format.fprintf err "%s@." msg;
+          2
+    with e ->
+      Format.fprintf err "folearn serve: %s op failed: %s@." op
+        (Printexc.to_string e);
+      2
   in
   Format.pp_print_flush out ();
   Format.pp_print_flush err ();
@@ -537,19 +597,15 @@ let run_op ?budget ?(ckpt = Resil.Ctl.none) ?(precheck = true) ~op ~params ()
 let precheck_rejection ~op ~params ~limits =
   let module Plan = Analysis.Plan in
   match
+    catch_usage @@ fun () ->
     match op with
-    | "learn" | "submit" ->
+    | "learn" | "submit" -> (
         let p = learn_params params in
-        let module Sam = Folearn.Sample in
-        let tuples =
-          if p.lp_m = 0 then Sam.all_tuples p.lp_g ~k:p.lp_k
-          else Sam.random_tuples ~seed:p.lp_seed p.lp_g ~k:p.lp_k ~m:p.lp_m
-        in
         let inp =
           Plan.input ~tmax:p.lp_tmax p.lp_g ~k:p.lp_k ~ell:p.lp_ell ~q:p.lp_q
-            tuples
+            (sample_tuples p.lp_g ~k:p.lp_k ~m:p.lp_m ~seed:p.lp_seed)
         in
-        (match p.lp_solver with
+        match p.lp_solver with
         | `Local ->
             (* the budgeted local path runs the degradation chain, so
                admission must reject only when every stage is doomed —
@@ -557,28 +613,22 @@ let precheck_rejection ~op ~params ~limits =
             Plan.precheck_chain ~what:"Degrade" (Plan.degrade_stages inp)
               limits
         | (`Brute | `Nd | `Counting) as s ->
-            let what, ps =
+            let what =
               match s with
-              | `Brute -> ("Erm_brute", Plan.Brute)
-              | `Nd -> ("Erm_nd", Plan.Nd)
-              | `Counting -> ("Erm_counting", Plan.Counting)
+              | `Brute -> "Erm_brute"
+              | `Nd -> "Erm_nd"
+              | `Counting -> "Erm_counting"
             in
-            Plan.precheck ~what (Plan.analyze inp ps) limits)
-    | "mc" ->
-        if p_bool ~default:false "via_erm" params then
-          let g = p_graph ~op:"mc" params in
-          let phi =
-            parse_formula ~cmd:"mc" ~flag:"--formula"
-              (p_req_str ~op:"mc" "formula" params)
-          in
-          Plan.precheck_model_check ~what:"Reduction" ~n:(Graph.order g) phi
-            limits
-        else None
+            Plan.precheck ~what (Plan.analyze inp (plan_solver s)) limits)
+    | "mc" when p_bool ~default:false "via_erm" params ->
+        let g = p_graph ~op params in
+        let phi = p_formula ~op ~flag:"--formula" "formula" params in
+        Plan.precheck_model_check ~what:"Reduction" ~n:(Graph.order g) phi
+          limits
     | _ -> None
   with
-  | Some _ as rej ->
+  | Ok (Some _) as rej ->
       (* same ledger the in-process admission layer keeps *)
       Obs.Metric.incr (Obs.Metric.counter "plan.precheck_rejections");
-      Ok rej
-  | None -> Ok None
-  | exception Usage m -> Error m
+      rej
+  | r -> r

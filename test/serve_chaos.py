@@ -36,16 +36,18 @@ import zlib
 MAGIC = b"FOLEARNRPC1"
 EXIT_RETRY = 75
 
-# ~0.5 s of engine time: slow enough to stack up in a tiny queue
+# ~30 ms one-shot on 2 cores; six concurrent calls still stack up in a
+# queue of one
 SHORT_LEARN = [
     "-g", "cycle:24", "--color", "Red=0,3,6,9",
     "--target", "exists y. (E(x1,y) & Red(y))",
     "-k", "1", "-l", "1", "-q", "2", "--solver", "brute",
 ]
-# ~3 s: long enough that SIGKILL lands mid-enumeration after the
-# first 0.5 s-cadence snapshot
+# ~2 s one-shot on 2 cores: long enough that SIGKILL lands
+# mid-enumeration after the first 0.5 s-cadence snapshot, and that a
+# SIGTERM 0.8 s in finds the request still on the engine
 LONG_LEARN = [
-    "-g", "cycle:36", "--color", "Red=0,3,6,9",
+    "-g", "cycle:90", "--color", "Red=0,3,6,9",
     "--target", "exists y. (E(x1,y) & Red(y))",
     "-k", "1", "-l", "1", "-q", "2", "--solver", "brute",
 ]
