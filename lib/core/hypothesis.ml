@@ -103,7 +103,7 @@ let of_local_types g ~k ~q ~r ~types ~params =
               (fun ty ->
                 Fo.Localize.relativize ~r ~around:vars
                   (Modelcheck.Hintikka.of_type ~vars ~colors ty))
-              types));
+              (Modelcheck.Hintikka.content_order types)));
     signature = lazy (type_signature (Printf.sprintf "L%d" r) ~q types params);
   }
 
@@ -133,7 +133,7 @@ let of_counting_types g ~k ~q ~tmax ~types ~params =
            (List.map
               (Modelcheck.Ctypes.hintikka ~vars:(xvars k @ yvars ell)
                  ~colors:(Graph.color_names g) ~tmax)
-              types));
+              (Modelcheck.Ctypes.content_order types)));
     signature =
       lazy
         (Printf.sprintf "C%d|q=%d|t=%s|w=%s" tmax q
@@ -172,7 +172,7 @@ let of_counting_local_types g ~k ~q ~tmax ~r ~types ~params =
               (fun ty ->
                 Fo.Localize.relativize ~r ~around:vars
                   (Modelcheck.Ctypes.hintikka ~vars ~colors ~tmax ty))
-              types));
+              (Modelcheck.Ctypes.content_order types)));
     signature =
       lazy
         (Printf.sprintf "CL%d_%d|q=%d|t=%s|w=%s" tmax r q

@@ -143,8 +143,11 @@ let count_types g ~q ~tmax ~k =
 
 (* Each distinct child is built once per call and shared by its
    lower-bound, upper-bound and exhaustion conjuncts. *)
+let content_order thetas = Hintikka.by_content (Hintikka.content_key node) thetas
+
 let hintikka ?vars ~colors ~tmax theta =
   Obs.Metric.incr Hintikka.formulas_built;
+  let key = Hintikka.content_key node in
   let memo = Hashtbl.create 16 in
   let rec go theta vars =
     match Hashtbl.find_opt memo theta with
@@ -158,7 +161,11 @@ let hintikka ?vars ~colors ~tmax theta =
           | Some kids ->
               let y = Printf.sprintf "x%d" (List.length vars + 1) in
               let vars' = vars @ [ y ] in
-              let kids = List.map (fun (kid, c) -> (go kid vars', c)) kids in
+              let kids =
+                List.map
+                  (fun (kid, c) -> (go kid vars', c))
+                  (Hintikka.by_content (fun (kid, _) -> key kid) kids)
+              in
               let multiplicities =
                 List.concat_map
                   (fun (f, c) ->

@@ -61,7 +61,12 @@ val hintikka :
     [H |= hintikka θ (v̄)  iff  ctp(H, v̄) = θ].  Uses [atleast]
     quantifiers; quantifier rank is exactly the rank of the type.  Free
     variables as in {!Hintikka.of_type}; each distinct child type is
-    built once and shared. *)
+    built once and shared, and children are listed in content order
+    ({!Hintikka.content_key}). *)
+
+val content_order : ty list -> ty list
+(** {!Hintikka.by_content} with a fresh key over counting types: the
+    order a hypothesis lists its disjuncts in. *)
 
 (** {1 Registry lifecycle} *)
 

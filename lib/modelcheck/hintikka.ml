@@ -33,12 +33,60 @@ let atomic_formula ~colors (sg : Types.atomsig) vars =
   done;
   Fo.Formula.and_ (List.rev !conjuncts)
 
+(* Children and disjuncts are listed in an order that depends only on
+   the types themselves, never on intern ids: ids follow the order in
+   which types were first met, which varies with --jobs and with a
+   resident server's history.  A key digests the atomic signature and
+   the sorted keys (with multiplicities) of the children. *)
+let content_key node =
+  let memo = Hashtbl.create 64 in
+  let pairs l =
+    String.concat ";" (List.map (fun (i, j) -> Printf.sprintf "%d,%d" i j) l)
+  in
+  let rec key t =
+    match Hashtbl.find_opt memo t with
+    | Some k -> k
+    | None ->
+        let (sg : Types.atomsig), kids = node t in
+        let kids =
+          match kids with
+          | None -> []
+          | Some ks ->
+              List.sort String.compare
+                (List.map (fun (c, n) -> key c ^ string_of_int n) ks)
+        in
+        let k =
+          Digest.string
+            (String.concat "|"
+               (string_of_int sg.Types.sig_arity
+               :: pairs sg.Types.eqs :: pairs sg.Types.edgs
+               :: Array.to_list (Array.map (String.concat ",") sg.Types.cols)
+               @ kids))
+        in
+        Hashtbl.add memo t k;
+        k
+  in
+  key
+
+let by_content key l =
+  List.map snd
+    (List.sort
+       (fun (a, _) (b, _) -> String.compare a b)
+       (List.map (fun t -> (key t, t)) l))
+
+let plain_key () =
+  content_key (fun t ->
+      let sg, kids = Types.node t in
+      (sg, Option.map (List.map (fun c -> (c, 1))) kids))
+
+let content_order thetas = by_content (plain_key ()) thetas
+
 (* Each distinct type is built once per call and shared wherever it
    recurs: the unshared tree repeats every child under ∃ and again
    under ∀.  Fuel stays that of the unshared build — one tick per node
    of it — because a memo hit, and each parent for its ∀ copies, tick
    the node count of the subtree they reuse. *)
-let of_type ?vars ~colors theta =
+let build ~key ?vars ~colors theta =
   Obs.Metric.incr formulas_built;
   let memo = Hashtbl.create 16 in
   let rec go theta vars =
@@ -56,7 +104,9 @@ let of_type ?vars ~colors theta =
           | Some kids ->
               let y = Printf.sprintf "x%d" (List.length vars + 1) in
               let vars' = vars @ [ y ] in
-              let kids = List.map (fun kid -> go kid vars') kids in
+              let kids =
+                List.map (fun kid -> go kid vars') (by_content key kids)
+              in
               let realised =
                 List.map (fun (f, _) -> Fo.Formula.exists y f) kids
               in
@@ -76,8 +126,11 @@ let of_type ?vars ~colors theta =
   in
   fst (go theta vars)
 
+let of_type ?vars ~colors theta = build ~key:(plain_key ()) ?vars ~colors theta
+
 let of_types ?vars ~colors thetas =
-  Fo.Formula.or_ (List.map (of_type ?vars ~colors) thetas)
+  let key = plain_key () in
+  Fo.Formula.or_ (List.map (build ~key ?vars ~colors) (by_content key thetas))
 
 let of_tuple ~colors g ~q u =
   of_type ~colors (Types.tp_graph g ~q u)

@@ -28,6 +28,21 @@ val atomic_formula :
     @raise Invalid_argument if [vars] does not match the arity of [sg]
     or [sg] mentions a colour outside [colors]. *)
 
+val content_key :
+  ('t -> Types.atomsig * ('t * int) list option) -> 't -> string
+(** [content_key node] is a fresh key function over the types that
+    [node] decomposes (atomic signature, children with multiplicities):
+    equal types get equal keys, and a key never depends on intern ids,
+    so on the order types were computed in.  It memoises in a table of
+    its own; make one per formula built. *)
+
+val by_content : ('t -> string) -> 't list -> 't list
+(** Sort by a {!content_key}.  Hintikka formulas list their children,
+    and hypotheses their disjuncts, in this order. *)
+
+val content_order : Types.ty list -> Types.ty list
+(** [by_content] with a fresh key over plain types. *)
+
 val of_type :
   ?vars:Fo.Formula.var list -> colors:string list -> Types.ty -> Fo.Formula.t
 (** [of_type ~colors θ]: the Hintikka formula of [θ], relative to the
@@ -44,8 +59,8 @@ val of_types :
   colors:string list ->
   Types.ty list ->
   Fo.Formula.t
-(** Disjunction of Hintikka formulas: the formula defining "my [q]-type is
-    one of these". *)
+(** Disjunction of Hintikka formulas, in {!content_order}: the formula
+    defining "my [q]-type is one of these". *)
 
 val of_tuple :
   colors:string list -> Cgraph.Graph.t -> q:int -> Cgraph.Graph.Tuple.t -> Fo.Formula.t

@@ -368,6 +368,34 @@ let test_partition_order () =
         (List.hd first_class = [| 0 |])
   | [] -> Alcotest.fail "expected classes"
 
+(* Witness text must not depend on the order types were interned in:
+   the types of cycle:10+Red computed ascending and then, after a
+   reset, descending print the same Hintikka formulas — plain and
+   counting, one type and a hypothesis's whole disjunction. *)
+let test_hintikka_intern_order () =
+  let module C = Modelcheck.Ctypes in
+  let module Hy = Folearn.Hypothesis in
+  let g = Graph.with_colors (Gen.cycle 10) [ ("Red", [ 0; 3; 4 ]) ] in
+  let colors = Graph.color_names g in
+  let texts order =
+    T.reset_tables ();
+    C.reset_tables ();
+    let ctx = T.make_ctx g and cctx = C.make_ctx g in
+    let tp v = T.tp ctx ~q:2 [| v |] in
+    let ctp v = C.ctp cctx ~q:2 ~tmax:2 [| v |] in
+    let tys = List.map tp order and ctys = List.map ctp order in
+    let text h = Fo.Formula.to_string (Hy.formula h) in
+    [
+      Fo.Formula.to_string (H.of_type ~colors (tp 0));
+      Fo.Formula.to_string (C.hintikka ~colors ~tmax:2 (ctp 0));
+      text (Hy.of_types g ~k:1 ~q:2 ~types:tys ~params:[||]);
+      text (Hy.of_counting_types g ~k:1 ~q:2 ~tmax:2 ~types:ctys ~params:[||]);
+    ]
+  in
+  let up = List.init 10 Fun.id in
+  Alcotest.(check (list string))
+    "same witness text" (texts up) (texts (List.rev up))
+
 let suite =
   [
     Alcotest.test_case "node decomposition" `Quick test_node_decomposition;
@@ -396,6 +424,8 @@ let suite =
     Alcotest.test_case "Hintikka vocabulary guard" `Quick
       test_hintikka_vocabulary_guard;
     Alcotest.test_case "type-set disjunction" `Quick test_of_types_disjunction;
+    Alcotest.test_case "Hintikka text ignores intern order" `Quick
+      test_hintikka_intern_order;
     QCheck_alcotest.to_alcotest types_vs_ef_random;
     QCheck_alcotest.to_alcotest fact5_random;
     QCheck_alcotest.to_alcotest hintikka_random;
