@@ -59,41 +59,8 @@ let of_json j =
     in
     Ok { chunk; lo; hi; worker; pid; fence; deadline }
 
-let encode l =
-  let body = Obs.Json.to_string (to_json l) in
-  Printf.sprintf "%s %s %d\n%s\n" magic
-    (Resil.Crc32.to_hex (Resil.Crc32.string body))
-    (String.length body) body
-
-let decode data =
-  match String.index_opt data '\n' with
-  | None -> Error "missing header line"
-  | Some nl -> (
-      let header = String.sub data 0 nl in
-      match String.split_on_char ' ' header with
-      | [ m; crc_hex; len_s ] when m = magic -> (
-          match
-            (int_of_string_opt ("0x" ^ crc_hex), int_of_string_opt len_s)
-          with
-          | Some crc, Some len ->
-              if String.length data < nl + 1 + len then Error "truncated body"
-              else
-                let body = String.sub data (nl + 1) len in
-                let actual =
-                  Int32.to_int (Resil.Crc32.string body) land 0xFFFFFFFF
-                in
-                if actual <> crc land 0xFFFFFFFF then
-                  Error
-                    (Printf.sprintf "CRC mismatch (header %08x, body %08x)" crc
-                       actual)
-                else (
-                  match Obs.Json.of_string body with
-                  | Error e -> Error ("body is not JSON: " ^ e)
-                  | Ok j -> of_json j)
-          | _ -> Error "malformed header fields"
-          | exception _ -> Error "malformed header fields")
-      | m :: _ when m <> magic -> Error (Printf.sprintf "bad magic %S" m)
-      | _ -> Error "malformed header line")
+let encode l = Resil.Frame.encode ~magic (to_json l)
+let decode data = Result.bind (Resil.Frame.decode ~magic data) of_json
 
 (* unique temp names even for two claimants in one process *)
 let claim_seq = Atomic.make 0

@@ -82,6 +82,41 @@ let atomic_write ?(fsync = true) ~path data =
         (try Unix.close dfd with _ -> ())
     | exception _ -> ())
 
+module Frame = struct
+  let encode ~magic j =
+    let body = Obs.Json.to_string j in
+    Printf.sprintf "%s %s %d\n%s\n" magic
+      (Crc32.to_hex (Crc32.string body))
+      (String.length body) body
+
+  let parse_header ~magic header =
+    match String.split_on_char ' ' header with
+    | [ m; crc_hex; len_s ] when m = magic -> (
+        match (int_of_string_opt ("0x" ^ crc_hex), int_of_string_opt len_s) with
+        | Some crc, Some len when len >= 0 -> Ok (crc, len)
+        | _ -> Error "malformed header fields")
+    | m :: _ when m <> magic -> Error (Printf.sprintf "bad magic %S" m)
+    | _ -> Error "malformed header line"
+
+  let check_body ~crc body =
+    let actual = Int32.to_int (Crc32.string body) land 0xFFFFFFFF in
+    if actual <> crc land 0xFFFFFFFF then
+      Error (Printf.sprintf "CRC mismatch (header %08x, body %08x)" crc actual)
+    else
+      match Obs.Json.of_string body with
+      | Error e -> Error ("body is not JSON: " ^ e)
+      | Ok j -> Ok j
+
+  let decode ~magic data =
+    match String.index_opt data '\n' with
+    | None -> Error "missing header line"
+    | Some nl ->
+        Result.bind (parse_header ~magic (String.sub data 0 nl))
+          (fun (crc, len) ->
+            if String.length data < nl + 1 + len then Error "truncated body"
+            else check_body ~crc (String.sub data (nl + 1) len))
+end
+
 module Snapshot = struct
   let schema_version = 1
   let magic = "FOLEARNSNAP1"
@@ -184,42 +219,8 @@ module Snapshot = struct
           counters;
         }
 
-  let encode s =
-    let body = Obs.Json.to_string (to_json s) in
-    Printf.sprintf "%s %s %d\n%s\n" magic
-      (Crc32.to_hex (Crc32.string body))
-      (String.length body) body
-
-  let decode data =
-    match String.index_opt data '\n' with
-    | None -> Error "missing header line"
-    | Some nl -> (
-        let header = String.sub data 0 nl in
-        match String.split_on_char ' ' header with
-        | [ m; crc_hex; len_s ] when m = magic -> (
-            match
-              (int_of_string_opt ("0x" ^ crc_hex), int_of_string_opt len_s)
-            with
-            | Some crc, Some len ->
-                if String.length data < nl + 1 + len then
-                  Error "truncated body"
-                else
-                  let body = String.sub data (nl + 1) len in
-                  let actual =
-                    Int32.to_int (Crc32.string body) land 0xFFFFFFFF
-                  in
-                  if actual <> crc land 0xFFFFFFFF then
-                    Error
-                      (Printf.sprintf "CRC mismatch (header %08x, body %08x)"
-                         crc actual)
-                  else (
-                    match Obs.Json.of_string body with
-                    | Error e -> Error ("body is not JSON: " ^ e)
-                    | Ok j -> of_json j)
-            | _ -> Error "malformed header fields"
-            | exception _ -> Error "malformed header fields")
-        | m :: _ when m <> magic -> Error (Printf.sprintf "bad magic %S" m)
-        | _ -> Error "malformed header line")
+  let encode s = Frame.encode ~magic (to_json s)
+  let decode data = Result.bind (Frame.decode ~magic data) of_json
 
   let save ~path s =
     Obs.Span.with_ "resil.snapshot.save"

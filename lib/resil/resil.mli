@@ -50,6 +50,28 @@ val atomic_write : ?fsync:bool -> path:string -> string -> unit
     [rename].  Concurrent readers of [path] never observe a partial
     file. *)
 
+(** The one codec of every durable or on-wire artefact — snapshots,
+    fleet leases, flight-recorder dumps and RPC frames:
+    {v MAGIC <crc32-hex> <body-length>
+<body JSON>
+v}
+    The formats differ only in their magic (and the RPC socket adds a
+    size cap and a terminator check on top). *)
+module Frame : sig
+  val encode : magic:string -> Obs.Json.t -> string
+  (** The frame bytes for a JSON body. *)
+
+  val parse_header : magic:string -> string -> (int * int, string) result
+  (** [(crc, length)] of a header line (without its newline). *)
+
+  val check_body : crc:int -> string -> (Obs.Json.t, string) result
+  (** Verify the body's CRC, then parse it. *)
+
+  val decode : magic:string -> string -> (Obs.Json.t, string) result
+  (** Validate magic, header shape, length and CRC, then parse the
+      body; bytes after the body are ignored.  Never raises. *)
+end
+
 (** The durable snapshot record and its codec. *)
 module Snapshot : sig
   val schema_version : int

@@ -7,30 +7,8 @@ let magic = "FOLEARNRPC1"
 let default_max_len = 8 * 1024 * 1024
 let max_header = 64
 
-let encode j =
-  let body = Obs.Json.to_string j in
-  Printf.sprintf "%s %s %d\n%s\n" magic
-    (Resil.Crc32.to_hex (Resil.Crc32.string body))
-    (String.length body) body
-
-let parse_header header =
-  match String.split_on_char ' ' header with
-  | [ m; crc_hex; len_s ] when m = magic -> (
-      match (int_of_string_opt ("0x" ^ crc_hex), int_of_string_opt len_s) with
-      | Some crc, Some len when len >= 0 -> Ok (crc, len)
-      | _ -> Error "malformed header fields"
-      | exception _ -> Error "malformed header fields")
-  | m :: _ when m <> magic -> Error (Printf.sprintf "bad magic %S" m)
-  | _ -> Error "malformed header line"
-
-let check_body ~crc body =
-  let actual = Int32.to_int (Resil.Crc32.string body) land 0xFFFFFFFF in
-  if actual <> crc land 0xFFFFFFFF then
-    Error (Printf.sprintf "CRC mismatch (header %08x, body %08x)" crc actual)
-  else
-    match Obs.Json.of_string body with
-    | Error e -> Error ("body is not JSON: " ^ e)
-    | Ok j -> Ok j
+let encode j = Resil.Frame.encode ~magic j
+let parse_header = Resil.Frame.parse_header ~magic
 
 let decode ?(max_len = default_max_len) data =
   match String.index_opt data '\n' with
@@ -45,7 +23,7 @@ let decode ?(max_len = default_max_len) data =
             Error "truncated body"
           else if data.[nl + 1 + len] <> '\n' then
             Error "missing frame terminator"
-          else check_body ~crc (String.sub data (nl + 1) len))
+          else Resil.Frame.check_body ~crc (String.sub data (nl + 1) len))
 
 (* -- socket IO ----------------------------------------------------- *)
 
@@ -97,7 +75,7 @@ let read ?(max_len = default_max_len) fd =
              with Unix.Unix_error (Unix.ECONNRESET, _, _) -> short := true);
             if !short then Error (`Error "EOF inside body")
             else
-              match check_body ~crc (Bytes.sub_string buf 0 len) with
+              match Resil.Frame.check_body ~crc (Bytes.sub_string buf 0 len) with
               | Ok j -> Ok j
               | Error e -> Error (`Error e)))
 

@@ -5,11 +5,11 @@
     {v FOLEARNRPC1 <crc32-hex> <body-length>
 <body JSON>
 v}
-    The CRC is the standard IEEE/zlib polynomial over the body bytes
-    (verifiable externally with [zlib.crc32]) — the same discipline as
-    the [Resil] snapshots and the fleet lease files, so a harness can
-    validate any durable or on-wire artefact of this codebase with one
-    checksum routine.
+    This is the {!Resil.Frame} codec shared with the snapshots, fleet
+    leases and flight-recorder dumps (CRC-32 of the body, verifiable
+    externally with [zlib.crc32]), so a harness can validate any
+    durable or on-wire artefact of this codebase with one checksum
+    routine.
 
     Both sides enforce a frame cap: a peer announcing a body longer
     than [max_len] is cut off before any allocation, so a corrupt or

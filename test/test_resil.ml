@@ -119,6 +119,78 @@ let corruption_rejected () =
   check "bad magic rejected" true (Result.is_error (Snap.decode bad_magic));
   check "empty rejected" true (Result.is_error (Snap.decode ""))
 
+(* The four frame decoders (snapshot, fleet lease, flight-recorder
+   dump, RPC frame) all sit on Resil.Frame.  Each must answer [Error],
+   and never raise, on arbitrary bytes, on its own magic followed by
+   arbitrary header fields (a correct CRC included, so the body parser
+   sees junk too), and on a one-byte corruption of a valid frame.  The
+   trailing newline the three file formats do not check, and a case
+   flip (hex digits are case-blind), are not corruptions. *)
+let frame_decoders =
+  let rejects decode s = Result.is_error (decode s) in
+  [
+    ( Snap.magic,
+      rejects Snap.decode,
+      Snap.encode sample_snapshot,
+      false );
+    ( Fleet.Lease.magic,
+      rejects Fleet.Lease.decode,
+      Fleet.Lease.encode
+        {
+          Fleet.Lease.chunk = 3; lo = 30; hi = 40; worker = "w1"; pid = 123;
+          fence = 2; deadline = 99.5;
+        },
+      false );
+    ( Pulse.Fdr.magic,
+      rejects Pulse.Fdr.decode,
+      Pulse.Fdr.encode (Pulse.Fdr.capture ~reason:"qcheck"),
+      false );
+    ( Serve.Frame.magic,
+      rejects (fun s -> Serve.Frame.decode s),
+      Serve.Frame.encode
+        (Obs.Json.Obj [ ("op", Obs.Json.String "ping"); ("n", Obs.Json.Int 7) ]),
+      true );
+  ]
+
+let frames_reject_arbitrary_bytes =
+  QCheck.Test.make ~count:1000 ~name:"frame decoders reject arbitrary bytes"
+    QCheck.string
+    (fun s -> List.for_all (fun (_, rejects, _, _) -> rejects s) frame_decoders)
+
+let frames_reject_arbitrary_headers =
+  let gen =
+    QCheck.Gen.(
+      quad (string_size ~gen:printable (0 -- 10)) (-50 -- 200) bool
+        (string_size (0 -- 120)))
+  in
+  QCheck.Test.make ~count:1000
+    ~name:"frame decoders reject their magic with arbitrary fields"
+    (QCheck.make gen) (fun (crc, len, true_crc, body) ->
+      List.for_all
+        (fun (magic, rejects, _, _) ->
+          let crc =
+            if true_crc then Resil.Crc32.to_hex (Resil.Crc32.string body)
+            else crc
+          in
+          rejects (Printf.sprintf "%s %s %d\n%s\n" magic crc len body))
+        frame_decoders)
+
+let frames_reject_one_byte_corruption =
+  QCheck.Test.make ~count:2000
+    ~name:"frame decoders reject one-byte corruptions"
+    QCheck.(pair (int_bound 100_000) char)
+    (fun (i, c) ->
+      List.for_all
+        (fun (_, rejects, frame, terminated) ->
+          let checked =
+            String.length frame - if terminated then 0 else 1
+          in
+          let i = i mod checked in
+          Char.lowercase_ascii c = Char.lowercase_ascii frame.[i]
+          || rejects
+               (String.mapi (fun j ch -> if j = i then c else ch) frame))
+        frame_decoders)
+
 let save_load_roundtrip () =
   let path = Filename.temp_file "folearn_resil" ".snap" in
   Snap.save ~path sample_snapshot;
@@ -327,6 +399,9 @@ let suite =
     Alcotest.test_case "crc32 matches zlib" `Quick crc32_known;
     QCheck_alcotest.to_alcotest codec_roundtrip;
     Alcotest.test_case "corrupt snapshots rejected" `Quick corruption_rejected;
+    QCheck_alcotest.to_alcotest frames_reject_arbitrary_bytes;
+    QCheck_alcotest.to_alcotest frames_reject_arbitrary_headers;
+    QCheck_alcotest.to_alcotest frames_reject_one_byte_corruption;
     Alcotest.test_case "save/load round-trip and `Not_found" `Quick
       save_load_roundtrip;
     Alcotest.test_case "load_for flags run/solver mismatch" `Quick
