@@ -49,11 +49,20 @@ let color_conv =
    message on stderr.  Formulas are taken as plain strings and parsed
    inside the command body: cmdliner reserves its own exit code (124)
    for [Arg.conv] failures. *)
-let or_usage = function
-  | Ok v -> v
-  | Error m ->
+let usage fmt =
+  Format.kasprintf
+    (fun m ->
       Format.eprintf "%s@." m;
-      exit 2
+      exit 2)
+    fmt
+
+let or_usage = function Ok v -> v | Error m -> usage "%s" m
+
+let addr_of_spec ~cmd ~flag spec =
+  match Pulse.Addr.parse spec with
+  | Ok a -> a
+  | Error m ->
+      usage "folearn %s: %s %s" cmd flag m
 
 let parse_formula_or_exit ~cmd ~flag s =
   or_usage (Serve.Exec.parse_formula ~cmd ~flag s)
@@ -153,36 +162,31 @@ let with_pulse ~cmd { metrics_addr; fdr } f =
   match metrics_addr with
   | None -> f ()
   | Some spec -> (
-      match Pulse.Addr.parse spec with
+      let addr = addr_of_spec ~cmd ~flag:"--metrics-addr" spec in
+      match Pulse.Server.start addr with
       | Error m ->
-          Format.eprintf "folearn %s: --metrics-addr %s@." cmd m;
-          exit 2
-      | Ok addr -> (
-          match Pulse.Server.start addr with
-          | Error m ->
-              Format.eprintf "folearn %s: --metrics-addr %s: %s@." cmd
-                (Pulse.Addr.to_string addr) m;
-              exit 2
-          | Ok srv ->
-              Format.eprintf "folearn %s: serving telemetry on %s@." cmd
-                (Pulse.Addr.to_string (Pulse.Server.bound_addr srv));
-              Fun.protect
-                ~finally:(fun () ->
-                  (* a signal flipped the exporter into draining mode:
-                     hold the server up for a beat so scrapers observe
-                     the 503 before the socket closes (used by CI;
-                     default is no grace, stop immediately) *)
-                  (if Pulse.Server.draining () then
-                     match
-                       Option.bind
-                         (Sys.getenv_opt "FOLEARN_DRAIN_GRACE")
-                         float_of_string_opt
-                     with
-                     | Some s when s > 0.0 -> Unix.sleepf s
-                     | _ -> ());
-                  Pulse.Server.set_progress None;
-                  Pulse.Server.stop srv)
-                f))
+          usage "folearn %s: --metrics-addr %s: %s" cmd
+            (Pulse.Addr.to_string addr) m
+      | Ok srv ->
+          Format.eprintf "folearn %s: serving telemetry on %s@." cmd
+            (Pulse.Addr.to_string (Pulse.Server.bound_addr srv));
+          Fun.protect
+            ~finally:(fun () ->
+              (* a signal flipped the exporter into draining mode: hold
+                 the server up for a beat so scrapers observe the 503
+                 before the socket closes (used by CI; default is no
+                 grace, stop immediately) *)
+              (if Pulse.Server.draining () then
+                 match
+                   Option.bind
+                     (Sys.getenv_opt "FOLEARN_DRAIN_GRACE")
+                     float_of_string_opt
+                 with
+                 | Some s when s > 0.0 -> Unix.sleepf s
+                 | _ -> ());
+              Pulse.Server.set_progress None;
+              Pulse.Server.stop srv)
+            f)
 
 let with_obs ~pulse { trace; stats; stats_json } f =
   if
@@ -300,8 +304,7 @@ let apply_jobs = function
   | None -> ()
   | Some n when n >= 1 -> Par.set_jobs n
   | Some n ->
-      Format.eprintf "folearn: --jobs must be >= 1 (got %d)@." n;
-      exit 2
+      usage "folearn: --jobs must be >= 1 (got %d)" n
 
 (* the /progress fuel gauge needs a live budget to read spend from, so
    --metrics-addr with no budget flag installs an unlimited one — the
@@ -408,9 +411,7 @@ let setup_resilience ~cmd ~solver ~run_id ~budget
               cmd path;
             None
         | Error (`Corrupt msg) ->
-            Format.eprintf "folearn %s: --resume %s: corrupt snapshot: %s@."
-              cmd path msg;
-            exit 2
+            usage "folearn %s: --resume %s: corrupt snapshot: %s" cmd path msg
         | Error (`Mismatch m) ->
             Format.eprintf "folearn %s: --resume %s: %a@." cmd path
               Resil.Snapshot.pp_mismatch m;
@@ -436,30 +437,13 @@ let setup_resilience ~cmd ~solver ~run_id ~budget
   (budget, ckpt)
 
 (* Install the /progress sampler: a closure over the run's identity,
-   the Resil frontier/best, the Guard budget and, for learn, the static
-   plan envelope, so scrapers get fuel_spent / fuel_hi percent-complete
-   without running `folearn plan` themselves.  The closure runs on the
-   exporter domain, so it only touches mutex- or atomic-guarded
-   state. *)
-let install_progress ~run_id ~solver req budget ckpt =
-  let sample_size, fuel_lo, fuel_hi, total =
-    match req with
-    | Serve.Exec.Learn { p; tuples; lam } ->
-        let module Plan = Analysis.Plan in
-        let module Cm = Analysis.Cost_model in
-        let plan =
-          Plan.analyze
-            (Plan.input ~tmax:p.lp_tmax p.lp_g ~k:p.lp_k ~ell:p.lp_ell
-               ~q:p.lp_q tuples)
-            (Serve.Exec.plan_solver p.lp_solver)
-        in
-        let hi (e : Cm.Env.t) = Cm.Count.to_int_opt e.Cm.Env.hi in
-        ( Folearn.Sample.size lam,
-          Cm.Count.to_int_opt plan.Plan.fuel_total.Cm.Env.lo,
-          hi plan.Plan.fuel_total,
-          hi plan.Plan.hypotheses )
-    | Mc _ | Types _ | Game _ -> (0, None, None, None)
-  in
+   the Resil frontier/best, the Guard budget, the static plan envelope
+   when there is one (so scrapers get fuel_spent / fuel_hi
+   percent-complete without running `folearn plan` themselves) and any
+   [extra] members.  The closure runs on the exporter domain, so it
+   only touches mutex- or atomic-guarded state. *)
+let install_progress ~run_id ~solver ~sample_size ?total ?fuel_lo ?fuel_hi
+    ?(extra = fun () -> []) budget ckpt =
   Pulse.Server.set_progress
     (Some
        (fun () ->
@@ -470,19 +454,23 @@ let install_progress ~run_id ~solver req budget ckpt =
                let s = Guard.Budget.spent b in
                (Some s.Guard.fuel, Some s.Guard.elapsed_ns)
          in
-         Pulse.Progress.to_json
-           {
-             Pulse.Progress.run_id;
-             solver;
-             frontier = Resil.Ctl.frontier ckpt;
-             total;
-             best = Resil.Ctl.best ckpt;
-             sample_size;
-             fuel_spent;
-             elapsed_ns;
-             fuel_lo;
-             fuel_hi;
-           }))
+         match
+           Pulse.Progress.to_json
+             {
+               Pulse.Progress.run_id;
+               solver;
+               frontier = Resil.Ctl.frontier ckpt;
+               total;
+               best = Resil.Ctl.best ckpt;
+               sample_size;
+               fuel_spent;
+               elapsed_ns;
+               fuel_lo;
+               fuel_hi;
+             }
+         with
+         | Obs.Json.Obj kvs -> Obs.Json.Obj (kvs @ extra ())
+         | j -> j))
 
 (* ------------------------------------------------------------------ *)
 (* learn / mc / types / game: one Serve.Exec call per invocation       *)
@@ -515,9 +503,7 @@ let exec_op ~cmd ~precheck proc build =
   let budget = budget_for_pulse proc.pulse (budget_of proc.budget) in
   let req = build () in
   let run_id = Serve.Exec.run_id req and solver = Serve.Exec.solver_name req in
-  let budget, ckpt =
-    setup_resilience ~cmd ~solver ~run_id ~budget proc.ckpt
-  in
+  let budget, ckpt = setup_resilience ~cmd ~solver ~run_id ~budget proc.ckpt in
   let ckpt =
     if proc.pulse.metrics_addr = None then ckpt
     else begin
@@ -525,7 +511,24 @@ let exec_op ~cmd ~precheck proc build =
         if Resil.Ctl.active ckpt then ckpt
         else Resil.Ctl.observer ~run_id ~solver ()
       in
-      install_progress ~run_id ~solver req budget ckpt;
+      (match req with
+      | Serve.Exec.Learn { p; tuples; lam } ->
+          let module Plan = Analysis.Plan in
+          let module Cm = Analysis.Cost_model in
+          let plan =
+            Plan.analyze
+              (Plan.input ~tmax:p.lp_tmax p.lp_g ~k:p.lp_k ~ell:p.lp_ell
+                 ~q:p.lp_q tuples)
+              (Serve.Exec.plan_solver p.lp_solver)
+          in
+          let env = Cm.Count.to_int_opt in
+          install_progress ~run_id ~solver
+            ~sample_size:(Folearn.Sample.size lam)
+            ?fuel_lo:(env plan.Plan.fuel_total.Cm.Env.lo)
+            ?fuel_hi:(env plan.Plan.fuel_total.Cm.Env.hi)
+            ?total:(env plan.Plan.hypotheses.Cm.Env.hi) budget ckpt
+      | Mc _ | Types _ | Game _ ->
+          install_progress ~run_id ~solver ~sample_size:0 budget ckpt);
       ckpt
     end
   in
@@ -647,8 +650,7 @@ let fleet_chaos_of ~cmd = function
       match Fleet.parse_chaos spec with
       | Ok chaos -> chaos
       | Error m ->
-          Format.eprintf "folearn %s: --fleet-chaos: %s@." cmd m;
-          exit 2)
+          usage "folearn %s: --fleet-chaos: %s" cmd m)
 
 (* fleet shards the indexable parameter sweeps; nd and local have no
    stable candidate numbering to shard over *)
@@ -656,9 +658,7 @@ let fleet_check_solver ~cmd solver =
   match solver with
   | `Brute | `Counting -> ()
   | `Nd | `Local ->
-      Format.eprintf
-        "folearn %s: --fleet supports --solver brute and counting only@." cmd;
-      exit 2
+      usage "folearn %s: --fleet supports --solver brute and counting only" cmd
 
 (* fleet worker: claim/evaluate/publish against --fleet DIR until the
    coordinator writes DONE.  No stdout, no telemetry, no signal
@@ -670,8 +670,7 @@ let run_fleet_worker fleet ~solver ~prepare budget_opts =
     match fleet.f_dir with
     | Some d -> d
     | None ->
-        Format.eprintf "folearn learn: --worker requires --fleet DIR@.";
-        exit 2
+        usage "folearn learn: --worker requires --fleet DIR"
   in
   fleet_check_solver ~cmd:"learn" solver;
   let chaos = fleet_chaos_of ~cmd:"learn" fleet.f_chaos in
@@ -716,28 +715,19 @@ let run_fleet_coordinator ~dir fleet ~precheck ~solver ~prepare proc =
   (match (proc.ckpt.ck_path, proc.ckpt.ck_resume) with
   | None, None -> ()
   | _ ->
-      Format.eprintf
+      usage
         "folearn learn: --fleet and --checkpoint/--resume are mutually \
-         exclusive (the fleet directory is the durable state)@.";
-      exit 2);
+         exclusive (the fleet directory is the durable state)");
   (match fleet.f_worker_id with
   | None -> ()
   | Some _ ->
-      Format.eprintf "folearn learn: --fleet-worker-id requires --worker@.";
-      exit 2);
-  if fleet.f_workers < 0 then begin
-    Format.eprintf "folearn learn: --workers must be >= 0 (got %d)@."
-      fleet.f_workers;
-    exit 2
-  end;
-  if fleet.f_heartbeat <= 0.0 then begin
-    Format.eprintf "folearn learn: --fleet-heartbeat must be positive@.";
-    exit 2
-  end;
-  if fleet.f_max_attempts < 1 then begin
-    Format.eprintf "folearn learn: --fleet-max-attempts must be >= 1@.";
-    exit 2
-  end;
+      usage "folearn learn: --fleet-worker-id requires --worker");
+  if fleet.f_workers < 0 then
+    usage "folearn learn: --workers must be >= 0 (got %d)" fleet.f_workers;
+  if fleet.f_heartbeat <= 0.0 then
+    usage "folearn learn: --fleet-heartbeat must be positive";
+  if fleet.f_max_attempts < 1 then
+    usage "folearn learn: --fleet-max-attempts must be >= 1";
   (* workers apply the chaos spec; validate it up front anyway so a
      typo fails the run before any fork *)
   let (_ : Fleet.chaos list) = fleet_chaos_of ~cmd:"learn" fleet.f_chaos in
@@ -782,35 +772,14 @@ let run_fleet_coordinator ~dir fleet ~precheck ~solver ~prepare proc =
   (* /progress: the standard frontier document plus a "fleet" member
      with per-worker liveness, lease churn and quarantine counts *)
   if proc.pulse.metrics_addr <> None then
-    Pulse.Server.set_progress
-      (Some
-         (fun () ->
-           let base =
-             Pulse.Progress.to_json
-               {
-                 Pulse.Progress.run_id;
-                 solver = solver_name;
-                 frontier = Resil.Ctl.frontier ctl;
-                 total = Some total;
-                 best = Resil.Ctl.best ctl;
-                 sample_size;
-                 fuel_spent = None;
-                 elapsed_ns = None;
-                 fuel_lo = None;
-                 fuel_hi = None;
-               }
-           in
-           match base with
-           | Obs.Json.Obj kvs ->
-               Obs.Json.Obj (kvs @ [ ("fleet", Fleet.Monitor.to_json mon) ])
-           | j -> j));
+    install_progress ~run_id ~solver:solver_name ~sample_size ~total
+      ~extra:(fun () -> [ ("fleet", Fleet.Monitor.to_json mon) ])
+      None ctl;
   let chunk_size =
     match fleet.f_chunk with
     | Some c when c >= 1 -> c
     | Some c ->
-        Format.eprintf "folearn learn: --fleet-chunk must be >= 1 (got %d)@."
-          c;
-        exit 2
+        usage "folearn learn: --fleet-chunk must be >= 1 (got %d)" c
     | None ->
         let by_workers = max 1 (total / (8 * max 1 fleet.f_workers)) in
         let min_for_cap = (total + 4095) / 4096 in
@@ -1325,22 +1294,19 @@ let strings_cmd =
     let w =
       try Mso.Word.of_string ~alphabet word
       with Invalid_argument m ->
-        Format.eprintf "folearn strings: %s@." m;
-        exit 2
+        usage "folearn strings: %s" m
     in
     let parse src =
       try Mso.Parser.parse ~letters src
       with Mso.Parser.Parse_error m ->
-        Format.eprintf "folearn strings: %s@." m;
-        exit 2
+        usage "folearn strings: %s" m
     in
     (match regex with
     | Some src ->
         let r =
           try Mso.Regex.of_string ~letters src
           with Mso.Regex.Parse_error m ->
-            Format.eprintf "folearn strings: %s@." m;
-            exit 2
+            usage "folearn strings: %s" m
         in
         let dfa = Mso.Regex.to_dfa ~sigma r in
         Format.printf "%b  (regex automaton: %d states)@."
@@ -1349,10 +1315,8 @@ let strings_cmd =
     (match sentence with
     | Some src ->
         let phi = parse src in
-        if Mso.Formula.free phi <> [] then begin
-          Format.eprintf "folearn strings: -f needs a sentence@.";
-          exit 2
-        end;
+        if Mso.Formula.free phi <> [] then
+          usage "folearn strings: -f needs a sentence";
         let dfa = Mso.Formula.language ~sigma phi in
         Format.printf "%b  (automaton: %d states)@."
           (Mso.Dfa.accepts dfa w) dfa.Mso.Dfa.states
@@ -1363,8 +1327,7 @@ let strings_cmd =
         (match Mso.Formula.free tphi with
         | [ ("x", Mso.Formula.Pos) ] -> ()
         | _ ->
-            Format.eprintf "folearn strings: -t needs exactly x free@.";
-            exit 2);
+            usage "folearn strings: -t needs exactly x free");
         let scope = [ ("x", Mso.Formula.Pos) ] in
         let tdfa = Mso.Formula.compile ~sigma ~scope tphi in
         let examples =
@@ -1391,10 +1354,8 @@ let strings_cmd =
               })
             hyps
         in
-        if catalogue = [] then begin
-          Format.eprintf "folearn strings: -t needs at least one --hyp@.";
-          exit 2
-        end;
+        if catalogue = [] then
+          usage "folearn strings: -t needs at least one --hyp";
         (match Mso.Learner.solve ~sigma ~word:w ~catalogue examples with
         | Some r ->
             Format.printf
@@ -1460,26 +1421,21 @@ let trees_cmd =
     let tree =
       try Mso.Tree.of_string tree_src
       with Mso.Tree.Parse_error m ->
-        Format.eprintf "folearn trees: %s@." m;
-        exit 2
+        usage "folearn trees: %s" m
     in
     (try Mso.Tree.check_labels ~sigma tree
      with Invalid_argument m ->
-       Format.eprintf "folearn trees: %s@." m;
-       exit 2);
+       usage "folearn trees: %s" m);
     let parse src =
       try Mso.Tree_parser.parse ~labels:label_names src
       with Mso.Tree_parser.Parse_error m ->
-        Format.eprintf "folearn trees: %s@." m;
-        exit 2
+        usage "folearn trees: %s" m
     in
     (match formula with
     | Some src ->
         let phi = parse src in
-        if Mso.Tree_formula.free phi <> [] then begin
-          Format.eprintf "folearn trees: -f needs a sentence@.";
-          exit 2
-        end;
+        if Mso.Tree_formula.free phi <> [] then
+          usage "folearn trees: -f needs a sentence";
         let ta = Mso.Tree_formula.compile ~sigma ~scope:[] phi in
         Format.printf "%b@." (Mso.Tree_automaton.accepts ta tree)
     | None -> ());
@@ -1489,8 +1445,7 @@ let trees_cmd =
         let oracle =
           try Mso.Tree_learner.Node_oracle.make ~sigma phi tree
           with Invalid_argument m ->
-            Format.eprintf "folearn trees: %s@." m;
-            exit 2
+            usage "folearn trees: %s" m
         in
         let hits =
           List.filter
@@ -1647,8 +1602,7 @@ let lint_cmd =
             match Vocab.of_string s with
             | Ok v -> Some v
             | Error m ->
-                Format.eprintf "folearn lint: %s@." m;
-                exit 2)
+                usage "folearn lint: %s" m)
       in
       let allowed_free =
         Option.map
@@ -1675,10 +1629,8 @@ let lint_cmd =
           files
         @ List.map (fun src -> ("--formula", src)) formulas
       in
-      if inputs = [] then begin
-        Format.eprintf "folearn lint: no formulas given (FILE or --formula)@.";
-        exit 2
-      end;
+      if inputs = [] then
+        usage "folearn lint: no formulas given (FILE or --formula)";
       let parse_diag msg =
         [ Diagnostic.make ~rule:"parse-error" msg ]
       in
@@ -1898,13 +1850,6 @@ let pulse_cmd =
 (* serve / call / submit / poll: the resident service (folserve)       *)
 (* ------------------------------------------------------------------ *)
 
-let addr_of_spec ~cmd ~flag spec =
-  match Pulse.Addr.parse spec with
-  | Ok a -> a
-  | Error m ->
-      Format.eprintf "folearn %s: %s %s@." cmd flag m;
-      exit 2
-
 let serve_cmd =
   let listen_arg =
     Arg.(
@@ -1955,8 +1900,7 @@ let serve_cmd =
           match Serve.Tenant.parse spec with
           | Ok kv -> kv
           | Error m ->
-              Format.eprintf "folearn serve: --tenant %s@." m;
-              exit 2)
+              usage "folearn serve: --tenant %s" m)
         tenants
     in
     let engine_jobs =
@@ -1964,8 +1908,7 @@ let serve_cmd =
       | None -> 1
       | Some n when n >= 1 -> n
       | Some n ->
-          Format.eprintf "folearn serve: --jobs must be >= 1 (got %d)@." n;
-          exit 2
+          usage "folearn serve: --jobs must be >= 1 (got %d)" n
     in
     let cfg =
       {
