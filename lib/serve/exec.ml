@@ -132,11 +132,10 @@ let sample_tuples g ~k ~m ~seed =
 
 let prepare p =
   let module Sam = Folearn.Sample in
-  Result.map
-    (fun () ->
-      let tuples =
-        sample_tuples p.lp_g ~k:p.lp_k ~m:p.lp_m ~seed:p.lp_seed
-      in
+  match check_target ~cmd:"learn" p.lp_g ~k:p.lp_k p.lp_target with
+  | Error _ as e -> e
+  | Ok () ->
+      let tuples = sample_tuples p.lp_g ~k:p.lp_k ~m:p.lp_m ~seed:p.lp_seed in
       let lam =
         Sam.label_with_query p.lp_g ~formula:p.lp_target
           ~xvars:(Folearn.Hypothesis.xvars p.lp_k) tuples
@@ -146,8 +145,7 @@ let prepare p =
           Sam.flip_noise ~seed:p.lp_seed ~p:p.lp_noise lam
         else lam
       in
-      { p; tuples; lam })
-    (check_target ~cmd:"learn" p.lp_g ~k:p.lp_k p.lp_target)
+      Ok { p; tuples; lam }
 
 type request =
   | Learn of prepared
