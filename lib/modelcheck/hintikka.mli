@@ -33,7 +33,7 @@ val content_key :
 (** [content_key node] is a fresh key function over the types that
     [node] decomposes (atomic signature, children with multiplicities):
     equal types get equal keys, and a key never depends on intern ids,
-    so on the order types were computed in.  It memoises in a table of
+    so not on the order types were computed in.  It memoises in a table of
     its own; make one per formula built. *)
 
 val by_content : ('t -> string) -> 't list -> 't list
