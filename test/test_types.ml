@@ -424,8 +424,6 @@ let suite =
     Alcotest.test_case "Hintikka vocabulary guard" `Quick
       test_hintikka_vocabulary_guard;
     Alcotest.test_case "type-set disjunction" `Quick test_of_types_disjunction;
-    Alcotest.test_case "Hintikka text ignores intern order" `Quick
-      test_hintikka_intern_order;
     QCheck_alcotest.to_alcotest types_vs_ef_random;
     QCheck_alcotest.to_alcotest fact5_random;
     QCheck_alcotest.to_alcotest hintikka_random;
@@ -433,4 +431,6 @@ let suite =
       test_ctx_survives_trip;
     QCheck_alcotest.to_alcotest types_vs_ef_cross_vocabulary;
     QCheck_alcotest.to_alcotest coder_vs_atomic_signature;
+    Alcotest.test_case "Hintikka text ignores intern order" `Quick
+      test_hintikka_intern_order;
   ]
