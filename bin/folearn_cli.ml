@@ -674,17 +674,8 @@ let run_fleet_worker fleet ~solver ~prepare budget_opts =
   in
   fleet_check_solver ~cmd:"learn" solver;
   let chaos = fleet_chaos_of ~cmd:"learn" fleet.f_chaos in
-  let ({ Serve.Exec.p; lam; _ } as prep) = prepare () in
-  let g = p.lp_g and k = p.lp_k and ell = p.lp_ell and q = p.lp_q in
-  let eval =
-    match solver with
-    | `Counting ->
-        fun ~lo ~hi ->
-          Folearn.Erm_counting.eval_range g ~k ~ell ~q ~tmax:p.lp_tmax lam ~lo
-            ~hi
-    | `Brute | `Nd | `Local ->
-        fun ~lo ~hi -> Folearn.Erm_brute.eval_range g ~k ~ell ~q lam ~lo ~hi
-  in
+  let prep = prepare () in
+  let sweep = Serve.Exec.sweep prep in
   Fleet.worker
     {
       Fleet.w_dir = dir;
@@ -706,7 +697,7 @@ let run_fleet_worker fleet ~solver ~prepare budget_opts =
           Modelcheck.Types.reset_tables ();
           Modelcheck.Ctypes.reset_tables ());
     }
-    ~eval
+    ~eval:(Folearn.Sweep.eval_range sweep)
 
 (* fleet coordinator: shard, supervise, merge; the printed result is
    byte-identical to the sequential solver's *)
@@ -750,11 +741,8 @@ let run_fleet_coordinator ~dir fleet ~precheck ~solver ~prepare proc =
      budget provably below the first-settle floor is rejected before
      any worker forks *)
   (match
-     Folearn.Admission.erm ?budget:(budget_of proc.budget) ~tmax:p.lp_tmax
-       ~enabled:precheck
-       ~what:(match solver with `Counting -> "Erm_counting" | _ -> "Erm_brute")
-       ~solver:(Serve.Exec.plan_solver solver) p.lp_g ~k:p.lp_k ~ell:p.lp_ell
-       ~q:p.lp_q lam
+     Folearn.Sweep.admit ?budget:(budget_of proc.budget) ~enabled:precheck
+       (Serve.Exec.sweep prep)
    with
   | Some (Guard.Exhausted { reason; checkpoint; spent; _ }) ->
       Serve.Exec.report_exhausted ~err ~cmd:"learn" ~reason ~checkpoint ~spent;
@@ -1021,6 +1009,9 @@ let plan_cmd =
           (Serve.Exec.check_target ~cmd:"plan" g ~k
              (parse_formula_or_exit ~cmd:"plan" ~flag:"--target" t)))
       target;
+    or_usage
+      (Serve.Exec.check_params ~cmd:"plan" g ~k ~ell ~q ~solver:f.lf_solver
+         ~tmax ~noise:0.0);
     let tuples =
       Serve.Exec.sample_tuples g ~k ~m:f.lf_m ~seed:f.lf_seed
     in

@@ -28,12 +28,10 @@ let combine_spent (a : Guard.spent) (b : Guard.spent) : Guard.spent =
 
 (* Keep whichever salvaged hypothesis has the lower empirical error;
    ties go to the earlier (richer-class) stage. *)
-let better old cand =
-  match (old, cand) with
-  | None, c -> c
-  | o, None -> o
-  | Some (_, err_o, _, _), Some (_, err_c, _, _) ->
-      if err_c < err_o then cand else old
+let better old ((_, err, _, _) as cand) =
+  match old with
+  | Some (_, err_o, _, _) when err_o <= err -> old
+  | _ -> Some cand
 
 let learn_chain ?budget ?radius g ~k ~ell ~q lam =
   match budget with
@@ -51,102 +49,81 @@ let learn_chain ?budget ?radius g ~k ~ell ~q lam =
   | Some b ->
       let attempts = ref [] in
       let salvaged = ref None in
-      let note_attempt solver q (e : _) =
-        match e with
-        | Guard.Complete _ -> ()
-        | Guard.Exhausted { reason; checkpoint; spent; _ } ->
-            attempts := { solver; q; reason; checkpoint; spent } :: !attempts
-      in
-      let finish_complete ~solver ~q_used ~degraded hypothesis err =
-        Guard.Complete
-          {
-            hypothesis;
-            err;
-            solver;
-            q_used;
-            degraded;
-            attempts = List.rev !attempts;
-          }
+      (* one stage: done if it completed, else record the attempt, keep
+         its salvage and go on with [next] *)
+      let stage ~solver ~q ~degraded outcome next =
+        match outcome with
+        | Guard.Complete (hypothesis, err) ->
+            Guard.Complete
+              {
+                hypothesis;
+                err;
+                solver;
+                q_used = q;
+                degraded;
+                attempts = List.rev !attempts;
+              }
+        | Guard.Exhausted { best_so_far; reason; checkpoint; spent } ->
+            attempts := { solver; q; reason; checkpoint; spent } :: !attempts;
+            Option.iter
+              (fun (h, err) -> salvaged := better !salvaged (h, err, solver, q))
+              best_so_far;
+            next ()
       in
       Obs.Metric.incr degradations;
       (* admission over the whole chain is decided once in [learn];
          the per-stage calls must burn real fuel so salvage and spend
          aggregation keep their pre-admission semantics *)
-      let first =
-        Erm_local.solve_budgeted ~budget:(Guard.Budget.for_stage b)
-          ~precheck:false ?radius g ~k ~ell ~q lam
-      in
-      note_attempt "local" q first;
-      (match first with
-      | Guard.Complete r ->
-          finish_complete ~solver:"local" ~q_used:q ~degraded:false
-            r.Erm_local.hypothesis r.Erm_local.err
-      | Guard.Exhausted { best_so_far; _ } ->
-          (match best_so_far with
-          | Some r ->
-              salvaged :=
-                better !salvaged
-                  (Some (r.Erm_local.hypothesis, r.Erm_local.err, "local", q))
-          | None -> ());
-          (* fall back: exact brute-force ERM at strictly smaller
-             quantifier rank, one fresh stage per rank, all racing the
-             same absolute deadline *)
-          let rec fallback q' =
-            if q' < 0 then
-              let reason, checkpoint, spent =
-                match !attempts with
-                | { reason; checkpoint; spent; _ } :: rest ->
-                    ( reason,
-                      checkpoint,
-                      List.fold_left
-                        (fun acc (a : attempt) -> combine_spent acc a.spent)
-                        spent rest )
-                | [] -> assert false (* the first stage always records *)
-              in
-              Guard.Exhausted
-                {
-                  best_so_far =
-                    Option.map
-                      (fun (hypothesis, err, solver, q_used) ->
-                        {
-                          hypothesis;
-                          err;
-                          solver;
-                          q_used;
-                          degraded = true;
-                          attempts = List.rev !attempts;
-                        })
-                      !salvaged;
-                  reason;
-                  checkpoint;
-                  spent;
-                }
-            else begin
-              Obs.Metric.incr degradations;
-              let o =
-                Erm_brute.solve_budgeted ~budget:(Guard.Budget.for_stage b)
-                  ~precheck:false g ~k ~ell ~q:q' lam
-              in
-              note_attempt "brute" q' o;
-              match o with
-              | Guard.Complete r ->
-                  finish_complete ~solver:"brute" ~q_used:q' ~degraded:true
-                    r.Erm_brute.hypothesis r.Erm_brute.err
-              | Guard.Exhausted { best_so_far; _ } ->
-                  (match best_so_far with
-                  | Some r ->
-                      salvaged :=
-                        better !salvaged
-                          (Some
-                             ( r.Erm_brute.hypothesis,
-                               r.Erm_brute.err,
-                               "brute",
-                               q' ))
-                  | None -> ());
-                  fallback (q' - 1)
-            end
+      stage ~solver:"local" ~q ~degraded:false
+        (Guard.outcome_map
+           (fun (r : Erm_local.result) -> (r.hypothesis, r.err))
+           (Erm_local.solve_budgeted ~budget:(Guard.Budget.for_stage b)
+              ~precheck:false ?radius g ~k ~ell ~q lam))
+      @@ fun () ->
+      (* fall back: exact brute-force ERM at strictly smaller
+         quantifier rank, one fresh stage per rank, all racing the
+         same absolute deadline *)
+      let rec fallback q' =
+        if q' < 0 then
+          let reason, checkpoint, spent =
+            match !attempts with
+            | { reason; checkpoint; spent; _ } :: rest ->
+                ( reason,
+                  checkpoint,
+                  List.fold_left
+                    (fun acc (a : attempt) -> combine_spent acc a.spent)
+                    spent rest )
+            | [] -> assert false (* the first stage always records *)
           in
-          fallback (q - 1))
+          Guard.Exhausted
+            {
+              best_so_far =
+                Option.map
+                  (fun (hypothesis, err, solver, q_used) ->
+                    {
+                      hypothesis;
+                      err;
+                      solver;
+                      q_used;
+                      degraded = true;
+                      attempts = List.rev !attempts;
+                    })
+                  !salvaged;
+              reason;
+              checkpoint;
+              spent;
+            }
+        else begin
+          Obs.Metric.incr degradations;
+          stage ~solver:"brute" ~q:q' ~degraded:true
+            (Guard.outcome_map
+               (fun (r : Erm_brute.result) -> (r.hypothesis, r.err))
+               (Erm_brute.solve_budgeted ~budget:(Guard.Budget.for_stage b)
+                  ~precheck:false g ~k ~ell ~q:q' lam))
+            (fun () -> fallback (q' - 1))
+        end
+      in
+      fallback (q - 1)
 
 let learn ?budget ?(precheck = true) ?radius g ~k ~ell ~q lam =
   match

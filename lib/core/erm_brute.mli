@@ -15,19 +15,22 @@
 
 open Cgraph
 
-type result = {
+type result = Sweep.result = {
   hypothesis : Hypothesis.t;
   err : float;  (** the optimal training error [ε*] *)
   params_tried : int;  (** [n^ℓ], for the complexity experiments *)
 }
 
+val sweep : Graph.t -> k:int -> ell:int -> q:int -> Sample.t -> Sweep.t
+(** The {!Sweep} of this solver: [tp_q] over the candidate space
+    [V^ℓ]. *)
+
 val solve :
   ?pool:Par.Pool.t -> Graph.t -> k:int -> ell:int -> q:int -> Sample.t -> result
 (** Exact ERM.  Cost [O(n^ℓ · m)] type computations of rank [q] on
     [(k+ℓ)]-tuples.  [pool] (default {!Par.default}) sweeps the [n^ℓ]
-    candidate tuples in parallel chunks; the result is bit-identical to
-    the sequential sweep — the winner is the (errors, candidate index)
-    lexicographic minimum either way.
+    candidate tuples in parallel chunks with the result bit-identical
+    to the sequential sweep (see {!Sweep}).
     @raise Invalid_argument if an example has arity other than [k]. *)
 
 val solve_budgeted :
@@ -36,26 +39,13 @@ val solve_budgeted :
   ?pool:Par.Pool.t ->
   ?ckpt:Resil.Ctl.t ->
   Graph.t -> k:int -> ell:int -> q:int -> Sample.t -> result Guard.outcome
-(** {!solve} under a resource budget.  [Complete r] is exactly the
-    unbudgeted result; on exhaustion, [best_so_far] is the best
-    hypothesis among the candidates that finished evaluating (with its
-    empirical error), or [None] if none did — still a sound hypothesis
-    under the agnostic semantics, only without the min-error
-    certificate.
-
-    [ckpt] (default inert) threads a checkpoint controller: settled
-    candidate ranges are reported for cadence snapshots, and on resume
-    candidates below the snapshot cursor are replay-skipped — ticked
-    and counted, but not re-evaluated, except the recorded best index.
-    The result is bit-identical to an uninterrupted run.
-
-    [precheck] (default [true]) runs the static admission precheck of
-    {!Analysis.Plan} first: if the declared budget is provably below
-    the sound lower bound for settling even one candidate, the call
-    returns [Exhausted] immediately — same constructor an actual run
-    would produce, but with zero fuel burnt.  Checkpoint-resumed runs
-    skip the precheck so resume replays bit-identically.  Pass [false]
-    (the CLI's [--no-precheck]) to always burn real fuel. *)
+(** {!solve} under a resource budget; see {!Sweep.solve_budgeted}.  On
+    exhaustion, [best_so_far] is the best hypothesis among the
+    candidates that finished evaluating (with its empirical error), or
+    [None] if none did — still a sound hypothesis under the agnostic
+    semantics, only without the min-error certificate.  Pass
+    [~precheck:false] (the CLI's [--no-precheck]) to always burn real
+    fuel. *)
 
 val optimal_error : Graph.t -> k:int -> ell:int -> q:int -> Sample.t -> float
 (** Just [ε* = min_{h ∈ H_{k,ℓ,q}} err_Λ(h)]. *)
@@ -74,9 +64,7 @@ val eval_range :
   hi:int ->
   (int * int) option
 (** One standalone slice of the candidate sweep, for an out-of-process
-    fleet worker: the [(index, errors)] lex-min over candidates
-    [\[lo, hi)], computed with a fresh type context and the same
-    per-candidate [Guard] tick and obs-counter discipline as {!solve}.
-    The winning hypothesis is recovered from the returned index with
-    {!solve_for_params} — the same mechanism a checkpoint resume uses,
-    so the assembled result is bit-identical to the sequential run. *)
+    fleet worker; see {!Sweep.eval_range}.  The winning hypothesis is
+    recovered from the returned index ({!Sweep.winner}) — the same
+    mechanism a checkpoint resume uses, so the assembled result is
+    bit-identical to the sequential run. *)

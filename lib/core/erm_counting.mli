@@ -4,10 +4,11 @@
 
     The hypothesis class [H^C_{k,ℓ,q,tmax}(G)] consists of all
     [h_{φ,w̄}] where [φ] is an FOC formula of quantifier rank [q] whose
-    counting thresholds are at most [tmax].  The solver mirrors
-    {!Erm_brute}: for every parameter tuple, the optimal classifier is
-    majority vote per counting-type class ({!Modelcheck.Ctypes}), and the
-    witness formula is a disjunction of counting Hintikka formulas.
+    counting thresholds are at most [tmax].  It is the {!Sweep} over
+    [V^ℓ] with counting types: for every parameter tuple, the optimal
+    classifier is majority vote per counting-type class
+    ({!Modelcheck.Ctypes}), and the witness formula is a disjunction of
+    counting Hintikka formulas.
 
     Counting strictly increases expressive power at fixed rank: "degree at
     least 3" needs rank 3 in plain FO but is [∃^{>=3} y. E(x, y)] — rank 1
@@ -15,18 +16,21 @@
 
 open Cgraph
 
-type result = {
+type result = Sweep.result = {
   hypothesis : Hypothesis.t;
   err : float;  (** the optimal training error over the counting class *)
   params_tried : int;
 }
 
+val sweep :
+  Graph.t -> k:int -> ell:int -> q:int -> tmax:int -> Sample.t -> Sweep.t
+(** The {!Sweep} of this solver: [ctp_q^tmax] over [V^ℓ]. *)
+
 val solve :
   ?pool:Par.Pool.t ->
   Graph.t -> k:int -> ell:int -> q:int -> tmax:int -> Sample.t -> result
 (** Exact counting ERM.  [pool] (default {!Par.default}) parallelises
-    the candidate sweep with results bit-identical to sequential; see
-    {!Erm_brute.solve}.
+    the candidate sweep; {!Sweep} states the determinism contract.
     @raise Invalid_argument on arity mismatch or [tmax < 1]. *)
 
 val solve_budgeted :
@@ -36,9 +40,9 @@ val solve_budgeted :
   ?ckpt:Resil.Ctl.t ->
   Graph.t -> k:int -> ell:int -> q:int -> tmax:int -> Sample.t ->
   result Guard.outcome
-(** {!solve} under a resource budget; see {!Erm_brute.solve_budgeted}
-    for the [best_so_far], [ckpt] (checkpoint/resume) and [precheck]
-    (static admission) contracts. *)
+(** {!solve} under a resource budget; {!Sweep.solve_budgeted} states
+    the salvage, [ckpt] (checkpoint/resume) and [precheck] (static
+    admission) contracts. *)
 
 val optimal_error :
   Graph.t -> k:int -> ell:int -> q:int -> tmax:int -> Sample.t -> float
@@ -52,8 +56,7 @@ val solve_for_params :
   Sample.t ->
   result
 (** The inner loop: best counting hypothesis for one fixed parameter
-    tuple (fleet best-index recovery; cf.
-    {!Erm_brute.solve_for_params}). *)
+    tuple; see {!Sweep.for_params}. *)
 
 val eval_range :
   Graph.t ->
@@ -66,4 +69,4 @@ val eval_range :
   hi:int ->
   (int * int) option
 (** Standalone sweep slice over candidates [\[lo, hi)] for a fleet
-    worker; see {!Erm_brute.eval_range}. *)
+    worker; see {!Sweep.eval_range}. *)

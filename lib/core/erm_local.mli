@@ -38,7 +38,9 @@ val solve :
     [Fo.Gaifman.radius q].  The returned error satisfies: for {e every}
     [w̄ ∈ V(G)^{ℓ'}, ℓ' <= ℓ] and every set [Θ] of local types,
     [err <= err_Λ(v̄ ↦ ltp_{q,r}(v̄·w̄) ∈ Θ)] (tested exhaustively in the
-    suite).
+    suite).  [pool] (default {!Par.default}) sweeps the candidates in
+    parallel chunks with the result bit-identical to the sequential
+    sweep (see {!Sweep}).
     @raise Invalid_argument on arity mismatch. *)
 
 val solve_budgeted :
@@ -48,13 +50,10 @@ val solve_budgeted :
   ?radius:int ->
   ?ckpt:Resil.Ctl.t ->
   Graph.t -> k:int -> ell:int -> q:int -> Sample.t -> result Guard.outcome
-(** {!solve} under a resource budget.  [Complete r] is exactly the
-    unbudgeted result; on exhaustion, [best_so_far] is the best
-    hypothesis among the parameter tuples that finished evaluating, or
-    [None] if the run tripped before any did (e.g. while building the
-    candidate pool).  [ckpt] threads a checkpoint controller over the
-    global candidate index (counting through the tuple lengths
-    [j = 0..ell] in enumeration order); [precheck] (default [true])
-    gates the call through the static admission precheck of
-    {!Analysis.Plan} — see {!Erm_brute.solve_budgeted} for both
-    contracts. *)
+(** {!solve} under a resource budget: the {!Sweep} over the tuples of
+    length [0..ℓ] of the pool, shortest first, so a candidate's index
+    counts through the lengths in enumeration order.
+    {!Sweep.solve_budgeted} states the salvage, [ckpt]
+    (checkpoint/resume) and [precheck] (static admission) contracts;
+    [best_so_far] is also [None] when the run trips while building the
+    candidate pool. *)

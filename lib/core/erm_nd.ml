@@ -117,26 +117,6 @@ type stage = {
 
 (* Majority vote per local-type class: the exact optimum over type-set
    hypotheses for fixed parameters.  Returns (positive types, #errors). *)
-let majority_local typ ~params lam =
-  let votes = Hashtbl.create 64 in
-  List.iter
-    (fun (v, label) ->
-      let t = typ (Graph.Tuple.append v params) in
-      let pos, neg =
-        match Hashtbl.find_opt votes t with
-        | Some cell -> cell
-        | None ->
-            let cell = (ref 0, ref 0) in
-            Hashtbl.replace votes t cell;
-            cell
-      in
-      if label then incr pos else incr neg)
-    lam;
-  Hashtbl.fold
-    (fun t (pos, neg) (chosen, errs) ->
-      if !pos > !neg then (t :: chosen, errs + !neg) else (chosen, errs + !pos))
-    votes ([], 0)
-
 (* Conflict analysis against the ORIGINAL graph: an example is critical
    iff its class under ltp_{q,r}(G, v̄·w̄) — with w̄ the parameters chosen
    so far — still contains both labels.  This is the paper's resolution
@@ -308,7 +288,7 @@ let solve_inner ?(ckpt = Resil.Ctl.none) cfg g lam =
       let params =
         Array.of_list (List.concat (List.rev answers_rev))
       in
-      let _, errs = majority_local typ_orig ~params lam in
+      let _, errs = Sweep.majority typ_orig ~params lam in
       (match !best with
       | Some (best_errs, _, _, _) when best_errs <= errs -> ()
       | _ -> best := Some (errs, params, List.rev rounds_rev, i))
@@ -589,7 +569,7 @@ let solve_inner ?(ckpt = Resil.Ctl.none) cfg g lam =
       | Some (errs, params, rounds, _) -> (errs, params, rounds)
       | None -> (Sample.errors_of (fun _ -> false) lam, [||], [])
     in
-    let chosen, errs' = majority_local typ_orig ~params lam in
+    let chosen, errs' = Sweep.majority typ_orig ~params lam in
     assert (errs' = errs);
     let hypothesis = typer.a_hyp g ~k ~ids:chosen ~params in
     {

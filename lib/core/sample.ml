@@ -49,8 +49,11 @@ let label_with_query g ~formula ~xvars ?(yvars = []) ?(params = [||]) tuples =
       (v, Modelcheck.Compile.holds_tuple compiled (Graph.Tuple.append v params)))
     tuples
 
+let is_probability p = not (p < 0.0 || p > 1.0)
+
 let flip_noise ~seed ~p lam =
-  if p < 0.0 || p > 1.0 then invalid_arg "Sample.flip_noise: bad probability";
+  if not (is_probability p) then
+    invalid_arg "Sample.flip_noise: bad probability";
   let st = Random.State.make [| seed; 0xf1 |] in
   List.map
     (fun (v, b) -> if Random.State.float st 1.0 < p then (v, not b) else (v, b))

@@ -57,9 +57,13 @@ val label_with_query :
 (** Realisable labelling by the query [φ(x̄; ȳ)] with parameters [w̄]:
     label 1 iff [G |= φ(v̄; w̄)]. *)
 
+val is_probability : float -> bool
+(** Is [p] a probability, [0 <= p <= 1]? *)
+
 val flip_noise : seed:int -> p:float -> t -> t
 (** Independently flip each label with probability [p] (agnostic-setting
-    workloads). *)
+    workloads).
+    @raise Invalid_argument unless {!is_probability} [p]. *)
 
 val split : seed:int -> ratio:float -> t -> t * t
 (** Random train/test split; [ratio] is the training fraction.

@@ -130,9 +130,34 @@ let sample_tuples g ~k ~m ~seed =
   if m = 0 then Folearn.Sample.all_tuples g ~k
   else Folearn.Sample.random_tuples ~seed g ~k ~m
 
+(* the parameters a solver would reject deep inside the run, or crash
+   on, rejected up front with the checks the solvers use *)
+let check_params ~cmd g ~k ~ell ~q ~solver ~tmax ~noise =
+  let tmax = match solver with `Counting -> Some tmax | _ -> None in
+  let fail fmt =
+    Printf.ksprintf (fun m -> Error (Printf.sprintf "folearn %s: %s" cmd m)) fmt
+  in
+  match
+    Analysis.Diagnostic.errors (Analysis.Guard.budgets ~ell ~q ?tmax ~k ())
+  with
+  | _ :: _ as errs -> fail "%s" (Analysis.Diagnostic.render_list errs)
+  | [] when not (Folearn.Sample.is_probability noise) ->
+      fail "noise = %g, but a label-flip probability in [0, 1] is required"
+        noise
+  | [] -> (
+      let module Coder = Modelcheck.Types.Coder in
+      match Coder.check_arity (Coder.make g) (k + ell + q) with
+      | () -> Ok ()
+      | exception Invalid_argument m -> fail "k + ell + q: %s" m)
+
 let prepare p =
   let module Sam = Folearn.Sample in
-  match check_target ~cmd:"learn" p.lp_g ~k:p.lp_k p.lp_target with
+  match
+    Result.bind (check_target ~cmd:"learn" p.lp_g ~k:p.lp_k p.lp_target)
+      (fun () ->
+        check_params ~cmd:"learn" p.lp_g ~k:p.lp_k ~ell:p.lp_ell ~q:p.lp_q
+          ~solver:p.lp_solver ~tmax:p.lp_tmax ~noise:p.lp_noise)
+  with
   | Error _ as e -> e
   | Ok () ->
       let tuples = sample_tuples p.lp_g ~k:p.lp_k ~m:p.lp_m ~seed:p.lp_seed in
@@ -348,19 +373,26 @@ let report out ~solver ~err ~witness hyp =
     Format.fprintf out "parameters: %a@." Graph.Tuple.pp
       (Folearn.Hypothesis.params hyp)
 
-let report_sweep out p ~params_tried ~err hyp =
+let report_sweep out p (r : Folearn.Sweep.result) =
   let solver =
     match p.lp_solver with
     | `Counting ->
         Printf.sprintf
           "exact counting ERM (FOC, thresholds <= %d; tried %d parameter \
            tuples)"
-          p.lp_tmax params_tried
+          p.lp_tmax r.params_tried
     | `Brute | `Nd | `Local ->
         Printf.sprintf "Prop 11 exact ERM (tried %d parameter tuples)"
-          params_tried
+          r.params_tried
   in
-  report out ~solver ~err ~witness:true hyp
+  report out ~solver ~err:r.err ~witness:true r.hypothesis
+
+(* brute and counting are one candidate sweep with two type functions *)
+let sweep { p; lam; _ } =
+  let g = p.lp_g and k = p.lp_k and ell = p.lp_ell and q = p.lp_q in
+  match p.lp_solver with
+  | `Counting -> Folearn.Erm_counting.sweep g ~k ~ell ~q ~tmax:p.lp_tmax lam
+  | `Brute | `Nd | `Local -> Folearn.Erm_brute.sweep g ~k ~ell ~q lam
 
 let report_local out g (r : Folearn.Erm_local.result) =
   report out
@@ -392,20 +424,10 @@ let run_learn ~out ~err ?budget ~ckpt ~precheck ({ p; lam; _ } as prep) =
   report_sample ~out prep;
   let conclude outcome print = conclude ~out ~err ~ckpt ~cmd:"learn" outcome print in
   match p.lp_solver with
-  | `Brute ->
+  | `Brute | `Counting ->
       conclude
-        (Folearn.Erm_brute.solve_budgeted ?budget ~precheck ~ckpt g ~k ~ell ~q
-           lam)
-        (fun (r : Folearn.Erm_brute.result) ->
-          report_sweep out p ~params_tried:r.Folearn.Erm_brute.params_tried
-            ~err:r.Folearn.Erm_brute.err r.Folearn.Erm_brute.hypothesis)
-  | `Counting ->
-      conclude
-        (Folearn.Erm_counting.solve_budgeted ?budget ~precheck ~ckpt g ~k ~ell
-           ~q ~tmax:p.lp_tmax lam)
-        (fun (r : Folearn.Erm_counting.result) ->
-          report_sweep out p ~params_tried:r.Folearn.Erm_counting.params_tried
-            ~err:r.Folearn.Erm_counting.err r.Folearn.Erm_counting.hypothesis)
+        (Folearn.Sweep.solve_budgeted ?budget ~precheck ~ckpt (sweep prep))
+        (report_sweep out p)
   | `Nd ->
       let cls = Splitter.Nowhere_dense.of_graph "cli" g in
       let cfg =
@@ -533,27 +555,9 @@ let run ~out ~err ?budget ~ckpt ~precheck = function
                 (List.length tr)
           | _ -> Format.fprintf out "no win within the round cap@.")
 
-let print_sweep_winner ~out { p; lam; _ } ~params_tried winner =
-  let g = p.lp_g and k = p.lp_k and q = p.lp_q in
-  let err, hyp =
-    match winner with
-    | None ->
-        ( Folearn.Sample.error_of (fun _ -> false) lam,
-          Folearn.Hypothesis.constantly g ~k false )
-    | Some i -> (
-        let params = Graph.Tuple.of_index ~n:(Graph.order g) ~k:p.lp_ell i in
-        match p.lp_solver with
-        | `Counting ->
-            let r =
-              Folearn.Erm_counting.solve_for_params g ~k ~q ~tmax:p.lp_tmax
-                ~params lam
-            in
-            (r.Folearn.Erm_counting.err, r.Folearn.Erm_counting.hypothesis)
-        | `Brute | `Nd | `Local ->
-            let r = Folearn.Erm_brute.solve_for_params g ~k ~q ~params lam in
-            (r.Folearn.Erm_brute.err, r.Folearn.Erm_brute.hypothesis))
-  in
-  report_sweep out p ~params_tried ~err hyp
+let print_sweep_winner ~out prep ~params_tried winner =
+  report_sweep out prep.p
+    { (Folearn.Sweep.winner (sweep prep) winner) with params_tried }
 
 (* ------------------------------------------------------------------ *)
 (* the service's entry points                                          *)
@@ -611,13 +615,10 @@ let precheck_rejection ~op ~params ~limits =
             Plan.precheck_chain ~what:"Degrade" (Plan.degrade_stages inp)
               limits
         | (`Brute | `Nd | `Counting) as s ->
-            let what =
-              match s with
-              | `Brute -> "Erm_brute"
-              | `Nd -> "Erm_nd"
-              | `Counting -> "Erm_counting"
-            in
-            Plan.precheck ~what (Plan.analyze inp (plan_solver s)) limits)
+            let s = plan_solver s in
+            Plan.precheck
+              ~what:(String.capitalize_ascii ("erm_" ^ Plan.solver_name s))
+              (Plan.analyze inp s) limits)
     | "mc" when p_bool ~default:false "via_erm" params ->
         let g = p_graph ~op params in
         let phi = p_formula ~op ~flag:"--formula" "formula" params in

@@ -68,8 +68,25 @@ val sample_tuples :
 (** The example tuples: all [k]-tuples when [m = 0], else [m] random
     ones drawn with [seed]. *)
 
+val check_params :
+  cmd:string ->
+  Cgraph.Graph.t ->
+  k:int ->
+  ell:int ->
+  q:int ->
+  solver:solver ->
+  tmax:int ->
+  noise:float ->
+  (unit, string) result
+(** Are the learn parameters ones the solver can run?  The budgets of
+    {!Analysis.Guard.budgets} ([tmax] for counting only), a label-flip
+    probability in [\[0, 1\]], and [k + ell + q] within the arity the
+    graph's atomic-type coder can pack.  [Error] is the usage
+    message. *)
+
 val prepare : learn_p -> (prepared, string) result
-(** Validate the target ({!check_target}), build the example tuples
+(** Validate the target ({!check_target}) and the parameters
+    ({!check_params}), build the example tuples
     ({!sample_tuples}) and label them, flipping labels with probability
     [lp_noise].  Depends on [learn_p] alone, so fleet workers rebuild
     exactly the coordinator's sample. *)
@@ -135,6 +152,10 @@ val run :
 val report_sample : out:Format.formatter -> prepared -> unit
 (** The first line of every learn report: the sample's size and
     positives. *)
+
+val sweep : prepared -> Folearn.Sweep.t
+(** The candidate sweep of a brute or counting learn (the fleet's unit
+    of work). *)
 
 val print_sweep_winner :
   out:Format.formatter -> prepared -> params_tried:int -> int option -> unit

@@ -10,7 +10,9 @@
    - coordinator expiry: a dead claimant's expired lease returns the
      chunk to the pool under a bumped fence within the heartbeat;
    - fencing: a publish carrying a stale fence token is rejected (and
-     removed) without corrupting the merged best. *)
+     removed) without corrupting the merged best;
+   - the fleet's unit of work: [eval_range] slices of brute and counting
+     sweeps, merged by (errors, index), give the in-process winner. *)
 
 module Fl = Fleet
 module Lease = Fleet.Lease
@@ -325,6 +327,124 @@ let test_parse_chaos () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown term must not parse"
 
+(* ------------------------------------------------------------------ *)
+(* eval_range slices = the in-process sweep                            *)
+(* ------------------------------------------------------------------ *)
+
+type slice_case = {
+  n : int;
+  ell : int;
+  seed : int;
+  cuts : int list;  (* chunk boundaries inside [0, n^ell) *)
+}
+
+let slice_arb =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* n = int_range 3 7 and* ell = int_range 1 2 and* seed = nat in
+      let total = int_of_float (float_of_int n ** float_of_int ell) in
+      let+ cuts = list_size (int_range 0 6) (int_range 1 (total - 1)) in
+      { n; ell; seed; cuts = List.sort_uniq compare cuts })
+  in
+  let print c =
+    Printf.sprintf "n=%d ell=%d seed=%d cuts=[%s]" c.n c.ell c.seed
+      (String.concat ";" (List.map string_of_int c.cuts))
+  in
+  make ~print gen
+
+(* a random coloured graph with random labels on every vertex: ties
+   between candidates are common, so the index tie-break is exercised *)
+let slice_instance c =
+  let open Cgraph in
+  let g = Gen.gnp ~seed:c.seed ~n:c.n ~p:0.4 in
+  let st = Random.State.make [| c.seed |] in
+  let red = List.filter (fun _ -> Random.State.bool st) (List.init c.n Fun.id) in
+  let g = Graph.with_colors g [ ("Red", red) ] in
+  let lam =
+    List.map (fun v -> (v, Random.State.bool st)) (Folearn.Sample.all_tuples g ~k:1)
+  in
+  (g, lam)
+
+(* one exact sweep as the fleet and the in-process solver see it *)
+type sweep_api = {
+  eval_range :
+    Cgraph.Graph.t -> ell:int -> Folearn.Sample.t -> lo:int -> hi:int ->
+    (int * int) option;
+  solve :
+    pool:Par.Pool.t -> ckpt:Resil.Ctl.t -> Cgraph.Graph.t -> ell:int ->
+    Folearn.Sample.t -> Folearn.Sweep.result Guard.outcome;
+  for_params :
+    Cgraph.Graph.t -> params:Cgraph.Graph.Tuple.t -> Folearn.Sample.t ->
+    Folearn.Sweep.result;
+}
+
+let slice_prop (name, api) =
+  QCheck.Test.make ~count:40
+    ~name:(name ^ ": merged eval_range slices = the in-process winner")
+    slice_arb
+    (fun c ->
+      let g, lam = slice_instance c in
+      let total = int_of_float (float_of_int c.n ** float_of_int c.ell) in
+      let rec slices = function
+        | lo :: (hi :: _ as rest) -> (lo, hi) :: slices rest
+        | _ -> []
+      in
+      let merged =
+        List.fold_left
+          (fun acc (lo, hi) ->
+            match (acc, api.eval_range g ~ell:c.ell lam ~lo ~hi) with
+            | Some (bi, be), Some (i, e) when be < e || (be = e && bi < i) ->
+                acc
+            | _, (Some _ as r) -> r
+            | acc, None -> acc)
+          None
+          (slices ((0 :: c.cuts) @ [ total ]))
+      in
+      (* the in-process winner's (index, errors), read off a passive
+         frontier tracker *)
+      let in_process jobs =
+        let pool = Par.Pool.create ~jobs in
+        Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) @@ fun () ->
+        let ckpt = Resil.Ctl.observer ~run_id:"slices" ~solver:name () in
+        match api.solve ~pool ~ckpt g ~ell:c.ell lam with
+        | Guard.Complete r -> (Resil.Ctl.best ckpt, r)
+        | Guard.Exhausted _ -> QCheck.Test.fail_report "unbudgeted run exhausted"
+      in
+      let best1, r1 = in_process 1 and best4, _ = in_process 4 in
+      match merged with
+      | None -> false
+      | Some (i, errs) ->
+          let params = Cgraph.Graph.Tuple.of_index ~n:c.n ~k:c.ell i in
+          let rp = api.for_params g ~params lam in
+          best1 = merged && best4 = merged
+          && float_of_int errs /. float_of_int (List.length lam) = r1.err
+          && rp.err = r1.err
+          && Folearn.Hypothesis.signature rp.hypothesis
+             = Folearn.Hypothesis.signature r1.hypothesis)
+
+let slice_props =
+  let module B = Folearn.Erm_brute in
+  let module C = Folearn.Erm_counting in
+  List.map slice_prop
+    [
+      ( "erm_brute",
+        {
+          eval_range = (fun g ~ell -> B.eval_range g ~k:1 ~ell ~q:1);
+          solve =
+            (fun ~pool ~ckpt g ~ell -> B.solve_budgeted ~pool ~ckpt g ~k:1 ~ell ~q:1);
+          for_params = (fun g -> B.solve_for_params g ~k:1 ~q:1);
+        } );
+      ( "erm_counting",
+        {
+          eval_range = (fun g ~ell -> C.eval_range g ~k:1 ~ell ~q:1 ~tmax:2);
+          solve =
+            (fun ~pool ~ckpt g ~ell ->
+              C.solve_budgeted ~pool ~ckpt g ~k:1 ~ell ~q:1 ~tmax:2);
+          for_params = (fun g -> C.solve_for_params g ~k:1 ~q:1 ~tmax:2);
+        } );
+    ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_lease_roundtrip;
@@ -343,3 +463,4 @@ let suite =
       test_failures_quarantine;
     Alcotest.test_case "chaos spec parsing" `Quick test_parse_chaos;
   ]
+  @ List.map (fun p -> QCheck_alcotest.to_alcotest p) slice_props
